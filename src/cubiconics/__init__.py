@@ -19,10 +19,9 @@ from .detmethod import (AuxiliaryForm, EvaluationMatrix, auxiliary_form,
 from .errors import (BudgetError, ConfigError, DegenerateReductionError,
                      DomainError, MacaulayDegenerateError, NonDivisibleError,
                      NotFrameInvariantError, PropertyViolationError)
-from .exactarith import (FieldContext, GFContext, PrimeTable, QQ,
-                         bertrand_prime, factorize, ff_factor_linear,
-                         mertens_check, prime_sum_over_divisors, primes_up_to,
-                         theta_psi_phi)
+from .exactarith import (GFContext, PrimeTable, bertrand_prime, factorize,
+                         ff_factor_linear, mertens_check,
+                         prime_sum_over_divisors, primes_up_to, theta_psi_phi)
 from .heights import (HeightValue, ProjPoint, affine_height,
                       height_comparison_audit, normalize_primitive,
                       point_height, poly_height, product_formula_check)
@@ -33,8 +32,8 @@ from .hilbert_samuel import (ExternalConstants, LocalProfile, ReductionCensus,
                              reduction_point_census)
 from .multipoly import (MultiPoly, essential_variable_count, gcd_binary_forms,
                         macaulay_resultant, sylvester_resultant)
-from .pointcount import (CountQuery, CountResult, conic_points,
-                         enumerate_affine, enumerate_projective, homogenize,
+from .pointcount import (CountResult, conic_points, enumerate_affine,
+                         enumerate_projective, homogenize,
                          integral_conics_experiment,
                          points_on_conics_experiment)
 from .reports import ExperimentReport, tag

@@ -24,8 +24,9 @@ from fractions import Fraction
 
 from .errors import DomainError, NotFrameInvariantError
 from .heights import normalize_primitive_vector
-from .multipoly import (MultiPoly, embed, frac_solve, macaulay_resultant,
-                        restrict, sylvester_resultant_generic)
+from .linalg import solve
+from .multipoly import (MultiPoly, embed, macaulay_resultant, restrict,
+                        sylvester_resultant_generic)
 
 T4 = ("T0", "T1", "T2", "T3")
 PLUCKER = ("p01", "p02", "p03", "p12", "p13", "p23")
@@ -347,7 +348,7 @@ def rewrite_biform_to_plucker(b: MultiPoly, k: int | None = None,
         col[uv_index[ue]] = cc
     t_keys = sorted(rhs_by_t)
     try:
-        sols = frac_solve(rows, [rhs_by_t[tk] for tk in t_keys], len(monos))
+        sols = solve(rows, [rhs_by_t[tk] for tk in t_keys], len(monos))
     except DomainError as exc:
         raise NotFrameInvariantError(f"descent system inconsistent: {exc}") from exc
 

@@ -20,14 +20,15 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
 from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm, UV,
                      cycle_resultant_biform, incidence_biform,
                      rewrite_biform_to_plucker)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import ff_factor_linear
-from .multipoly import (MultiPoly, coefficients_in, embed, frac_rank,
-                        frac_solve, gcd_binary_forms, restrict,
-                        sylvester_resultant)
+from .hilbert_samuel import _proj_points
+from .multipoly import (MultiPoly, coefficients_in, embed, gcd_binary_forms,
+                        restrict, sylvester_resultant, sylvester_rows)
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
@@ -169,15 +170,6 @@ def find_lines(surface: CubicSurface, height_bound: int = 1,
 # --- classification -----------------------------------------------------------------
 
 
-def _proj_reps(p: int, nvars: int):
-    reps = []
-    for lead in range(nvars):
-        tails = itertools.product(range(p), repeat=nvars - lead - 1)
-        for t in tails:
-            reps.append((0,) * lead + (1,) + t)
-    return reps
-
-
 def smooth_mod_p(f: MultiPoly, p: int) -> bool:
     """Exhaustive Jacobian scan over P^3(F_p): no common projective zero of f
     and its partials means the reduction is nonsingular."""
@@ -189,7 +181,7 @@ def smooth_mod_p(f: MultiPoly, p: int) -> bool:
         tables.append(tab)
     if not tables[0]:
         return False  # degenerate reduction
-    for pt in _proj_reps(p, 4):
+    for pt in _proj_points(p, 4):
         ok = False
         for tab in tables:
             v = 0
@@ -466,7 +458,7 @@ def family_rank(family) -> int:
     rows, d = _family_rows(family)
     if not rows:
         return 0
-    return frac_rank(rows, d + 1)
+    return linalg.rank(rows, d + 1)
 
 
 def leading_family(pencil: ConicPencil, irreducibility_certificate: str | None = None) -> dict:
@@ -525,7 +517,7 @@ def family_image(family) -> dict:
     if not live:
         raise DomainError("empty family")
     rows, d = _family_rows(live)
-    rank = frac_rank(rows, d + 1)
+    rank = linalg.rank(rows, d + 1)
     if rank < 2:
         raise DomainError(f"family rank {rank} below 2; no curve image")
     cover = _covering_degree(live, d)
@@ -642,12 +634,12 @@ def _bezout_cutoff(r1, r2, d: int):
     """c with max(|q1(t)|, |q2(t)|)/content >= c * H(t)^d at primitive t,
     from the two Sylvester Bezout identities rescaled to one common
     multiplier D (which then also bounds the specialization content)."""
-    syl = _sylvester_rows(r1, r2, d)
+    syl = sylvester_rows(r1, r2)
     n = 2 * d
-    cols = [[Fraction(1 if i == 0 else 0) for i in range(n)],
-            [Fraction(1 if i == n - 1 else 0) for i in range(n)]]
+    cols = [[1 if i == 0 else 0 for i in range(n)],
+            [1 if i == n - 1 else 0 for i in range(n)]]
     try:
-        sols = frac_solve([list(map(Fraction, row)) for row in zip(*syl)], cols, n)
+        sols = linalg.solve([list(row) for row in zip(*syl)], cols, n)
     except DomainError:
         return None  # resultant vanished: pair not coprime
     D = 1
@@ -660,17 +652,6 @@ def _bezout_cutoff(r1, r2, d: int):
     if worst == 0:
         return None
     return Fraction(1, worst)
-
-
-def _sylvester_rows(r1, r2, d: int):
-    """Sylvester matrix rows of two degree-d binary forms (size 2d)."""
-    n = 2 * d
-    rows = []
-    for k in range(d):
-        rows.append([0] * k + list(r1) + [0] * (d - 1 - k))
-    for k in range(d):
-        rows.append([0] * k + list(r2) + [0] * (d - 1 - k))
-    return rows
 
 
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
 from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
+from .linalg import exact_kernel, rank_mod_p
 from .multipoly import MultiPoly, restrict
 from .pointcount import enumerate_projective, homogenize
 
@@ -89,114 +90,6 @@ def evaluation_matrix(points, D: int, mode: str = "projective",
             row.append(v)
         rows.append(row)
     return EvaluationMatrix(points, tuple(monos), rows, tuple(names), D, mode)
-
-
-# --- exact kernels (fraction-free elimination) ----------------------------------
-
-
-def _bareiss_echelon(rows, ncols):
-    """Fraction-free (division-exact) echelon form of an integer matrix.
-
-    Pivots are chosen per column with minimal magnitude to limit entry swell.
-    Returns (echelon rows, pivot column list): exact integer arithmetic, so
-    the row space and pivot structure are certified.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    prev = 1
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv, best = None, None
-        for i in range(rank, nrows):
-            v = m[i][col]
-            if v:
-                a = abs(v)
-                if best is None or a < best:
-                    best, piv = a, i
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank][col]
-        for i in range(rank + 1, nrows):
-            if not any(m[i][col:]):
-                continue
-            vi = m[i][col]
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[i][j] * pr - vi * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = pr
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
-
-
-def exact_kernel(rows, ncols=None):
-    """Exact rational basis of the right kernel of an integer/rational
-    matrix; every basis vector is verified against the input."""
-    rows = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-                for i in range(ncols)]
-    den = 1
-    for r in rows:
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-    int_rows = [[int(x * den) if isinstance(x, Fraction) else int(x) * den for x in r]
-                for r in rows]
-    ech, pivots = _bareiss_echelon(int_rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        # back-substitute through the echelon rows
-        for r in range(len(ech) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(ech[r][j]) * v[j] for j in range(pc + 1, ncols)
-                     if ech[r][j] and v[j]), Fraction(0))
-            v[pc] = -s / ech[r][pc]
-        basis.append(v)
-    for v in basis:
-        for r in rows:
-            assert sum(Fraction(x) * y for x, y in zip(r, v)) == 0, \
-                "kernel verification failed"
-    return basis
-
-
-def _rank_mod_p(rows_mod, p: int):
-    """(rank, pivot columns, free columns) of an int64 numpy matrix mod p."""
-    m = rows_mod % p
-    nrows, ncols = m.shape
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        sub = m[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if len(nz) == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        col_vals = m[:, col].copy()
-        col_vals[rank] = 0
-        nzr = np.nonzero(col_vals)[0]
-        if len(nzr):
-            m[nzr] = (m[nzr] - np.outer(col_vals[nzr], m[rank])) % p
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    return rank, pivots, free
 
 
 def _matrix_mod_p(points, monos, p):
@@ -362,7 +255,7 @@ def minimal_omega(forms, names, B, mode: str = "projective",
             pivots, free = [], list(range(len(monos)))
         else:
             Mp = _matrix_mod_p(points, monos, p)
-            rank_p, pivots, free = _rank_mod_p(Mp, p)
+            rank_p, pivots, free = rank_mod_p(Mp, p)
             dimker_p = len(monos) - rank_p
         if dimker_p <= ideal_dim:
             # kernel over Q is at most the mod-p kernel and always contains

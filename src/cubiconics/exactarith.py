@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,23 +17,6 @@ from .errors import BudgetError, DomainError
 from .multipoly import MultiPoly
 
 DEFAULT_FF_BUDGET = 4_000_000
-
-
-@dataclass(frozen=True)
-class FieldContext:
-    """Base-field constants.  Only the rational field is shipped; the record
-    keeps signatures free of hard-coded Q."""
-
-    degree: int = 1
-    minkowski_constant: Fraction = Fraction(1)
-    bertrand_factor: Fraction = Fraction(2)
-
-    def __post_init__(self):
-        if self.degree != 1 or self.minkowski_constant != 1 or self.bertrand_factor != 2:
-            raise DomainError("only the rational configuration is supported")
-
-
-QQ = FieldContext()
 
 
 @dataclass(frozen=True)

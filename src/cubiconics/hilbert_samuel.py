@@ -8,6 +8,7 @@ threshold) are user-supplied knobs defaulting to 0; every report labels them
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,8 @@ from fractions import Fraction
 from .errors import BudgetError, ConfigError, DegenerateReductionError, DomainError
 from .exactarith import factorize, ff_factor_linear
 from .heights import harmonic
-from .multipoly import MultiPoly, frac_rank
+from .linalg import rank, rank_mod_p
+from .multipoly import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -218,21 +220,9 @@ def reduction_point_census(f: MultiPoly, p: int):
 def _proj_points(p: int, nvars: int):
     """Canonical representatives of P^{nvars-1}(F_p): first nonzero coord 1."""
     reps = []
-
-    def rec(prefix):
-        k = len(prefix)
-        if k == nvars:
-            return
-        # leading zeros, then a 1, then anything
-        head = prefix + (1,)
-        tails = [()]
-        for _ in range(nvars - k - 1):
-            tails = [t + (x,) for t in tails for x in range(p)]
-        for t in tails:
-            reps.append(head + t)
-        rec(prefix + (0,))
-
-    rec(())
+    for lead in range(nvars):
+        for t in itertools.product(range(p), repeat=nvars - lead - 1):
+            reps.append((0,) * lead + (1,) + t)
     return reps
 
 
@@ -279,7 +269,6 @@ def gram_matrix_doubled(q: MultiPoly):
 
 
 def _first_nonzero_minor3(A):
-    import itertools
     n = len(A)
     for rows in itertools.combinations(range(n), 3):
         for cols in itertools.combinations(range(n), 3):
@@ -295,39 +284,20 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _rank_mod_p(A, p: int) -> int:
-    m = [[x % p for x in row] for row in A]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def is_geometrically_integral_quadratic(q: MultiPoly, p: int | None = None) -> bool:
     """Geometric integrality of a quadratic form: over Q (or mod odd p) by the
     rank >= 3 criterion; in characteristic 2 by direct linear-factor search
     over F_2 and F_4."""
     if p is None:
         A = gram_matrix_doubled(q)
-        return frac_rank([[Fraction(x) for x in row] for row in A], len(A)) >= 3
+        return rank(A, len(A)) >= 3
     if p == 2:
         for e in (1, 2):
             factors, _ = ff_factor_linear(q, 2, e)
             if factors:
                 return False
         return True
-    return _rank_mod_p(gram_matrix_doubled(q), p) >= 3
+    return rank_mod_p(gram_matrix_doubled(q), p)[0] >= 3
 
 
 @dataclass
@@ -359,7 +329,7 @@ def bad_reduction_census(q: MultiPoly, p_max: int = 10 ** 6) -> ReductionCensus:
     candidates = sorted(p for p in factorize(minor) if p > threshold)
     bad = []
     for p in candidates:
-        if _rank_mod_p(A, p) < 3:
+        if rank_mod_p(A, p)[0] < 3:
             bad.append((p, "gram rank < 3 mod p"))
     b_prime = 1.0
     for p, _reason in bad:

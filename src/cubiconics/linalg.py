@@ -1,0 +1,180 @@
+"""Exact linear algebra over Z and Q, and ranks modulo a prime.
+
+Every exact routine reads one fraction-free echelon form of an integer
+matrix (Bareiss, Math. Comp. 22 (1968)).  Rational rows are first scaled to
+integers, which changes neither the row space nor the pivot columns, and
+every division in the elimination is exact, so ranks, pivot columns,
+kernels, solutions and determinants are certified.  Each result is the
+unique one of its kind: a kernel basis vector has a 1 in one free column and
+0 in the others, and a solution sets the free variables to 0.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+
+from .errors import DomainError
+
+
+def _integer_rows(rows):
+    """The rows scaled to integers by the lcm of each row's denominators,
+    and the product of those multipliers."""
+    out, scale = [], 1
+    for r in rows:
+        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+        out.append([int(x * den) for x in r])
+        scale *= den
+    return out, scale
+
+
+def _echelon(rows, ncols):
+    """Fraction-free (division-exact) echelon form of an integer matrix.
+
+    Pivots are chosen per column with minimal magnitude to limit entry swell.
+    Returns (echelon rows, pivot column list, sign of the row permutation).
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    prev = 1
+    rank = 0
+    sign = 1
+    pivots = []
+    for col in range(ncols):
+        piv, best = None, None
+        for i in range(rank, nrows):
+            v = m[i][col]
+            if v:
+                a = abs(v)
+                if best is None or a < best:
+                    best, piv = a, i
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        pr = m[rank][col]
+        for i in range(rank + 1, nrows):
+            if not any(m[i][col:]):
+                continue
+            vi = m[i][col]
+            for j in range(col + 1, ncols):
+                m[i][j] = (m[i][j] * pr - vi * m[rank][j]) // prev
+            m[i][col] = 0
+        prev = pr
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return m[:rank], pivots, sign
+
+
+def _back_substitute(ech, pivots, v):
+    """Set the pivot entries of v, its other entries given, so that every
+    echelon row annihilates v."""
+    ncols = len(v)
+    for r in range(len(ech) - 1, -1, -1):
+        pc = pivots[r]
+        s = sum((ech[r][j] * v[j] for j in range(pc + 1, ncols)
+                 if ech[r][j] and v[j]), Fraction(0))
+        v[pc] = -s / ech[r][pc]
+    return v
+
+
+def rank(rows, ncols: int) -> int:
+    """Rank over Q of a matrix of integers or Fractions."""
+    return len(_echelon(_integer_rows(rows)[0], ncols)[1])
+
+
+def exact_kernel(rows, ncols=None):
+    """Exact rational basis of the right kernel of an integer/rational
+    matrix; every basis vector is verified against the input."""
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    ech, pivots, _ = _echelon(_integer_rows(rows)[0], ncols)
+    pivset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivset:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            basis.append(_back_substitute(ech, pivots, v))
+    for v in basis:
+        # an integer multiple of v keeps integer rows in integer arithmetic
+        den = lcm(*(x.denominator for x in v))
+        w = [int(x * den) for x in v]
+        for r in rows:
+            if sum(x * y for x, y in zip(r, w)) != 0:
+                raise AssertionError("kernel verification failed")
+    return basis
+
+
+def solve(rows, rhs_cols, ncols: int):
+    """Solve A x = b for each right-hand side column b, free variables set
+    to 0; raises DomainError when some system is inconsistent.
+
+    A is rows x ncols; rhs_cols is a list of right-hand-side vectors.
+    """
+    width = ncols + len(rhs_cols)
+    aug = [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(rows)]
+    ech, pivots, _ = _echelon(_integer_rows(aug)[0], width)
+    if pivots and pivots[-1] >= ncols:
+        raise DomainError("inconsistent linear system")
+    sols = []
+    for j in range(len(rhs_cols)):
+        # A x - b = 0: the kernel vector (x, -1) of the augmented matrix
+        v = [Fraction(0)] * width
+        v[ncols + j] = Fraction(-1)
+        sols.append(_back_substitute(ech, pivots, v)[:ncols])
+    return sols
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix of integers or Fractions."""
+    if not rows:
+        return Fraction(1)
+    int_rows, scale = _integer_rows(rows)
+    ech, pivots, sign = _echelon(int_rows, len(rows))
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    # the last Bareiss pivot is the determinant of the row-permuted matrix
+    return Fraction(sign * ech[-1][-1], scale)
+
+
+def rank_mod_p(rows, p: int):
+    """(rank, pivot columns, free columns) of an integer matrix modulo the
+    prime p.
+
+    int64 arithmetic is exact while (p-1)^2 < 2^63; larger primes, such as
+    the prime factors of an arbitrary minor, use Python integers.
+    """
+    small = (p - 1) ** 2 < 2 ** 63
+    m = np.asarray(rows)  # int64, or object when an entry overflows int64
+    m = (m if small else m.astype(object)) % p
+    m = m.astype(np.int64 if small else object, copy=False)
+    nrows, ncols = m.shape
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        nz = np.nonzero(m[rank:, col])[0]
+        if len(nz) == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
+        inv = pow(int(m[rank, col]), -1, p)
+        m[rank] = m[rank] * inv % p
+        col_vals = m[:, col].copy()
+        col_vals[rank] = 0
+        nzr = np.nonzero(col_vals)[0]
+        if len(nzr):
+            m[nzr] = (m[nzr] - np.outer(col_vals[nzr], m[rank])) % p
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    pivset = set(pivots)
+    return rank, pivots, [c for c in range(ncols) if c not in pivset]

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, MacaulayDegenerateError, NonDivisibleError
+from .linalg import det, exact_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -466,11 +467,6 @@ def restrict(f: MultiPoly, names) -> MultiPoly:
     return MultiPoly(names, out)
 
 
-def rename(f: MultiPoly, mapping) -> MultiPoly:
-    new = tuple(mapping.get(n, n) for n in f.names)
-    return MultiPoly(new, dict(f.terms))
-
-
 def coefficients_in(f: MultiPoly, coeff_vars):
     """View f as a polynomial in the variables *outside* ``coeff_vars``:
     returns {outer exponent vector -> coefficient polynomial in coeff_vars}.
@@ -487,19 +483,6 @@ def coefficients_in(f: MultiPoly, coeff_vars):
 
 
 # --- univariate/binary gcd --------------------------------------------------
-
-
-def _univ_coeffs(f: MultiPoly):
-    # f univariate in its single name
-    d = f.total_degree()
-    cs = [_ZERO] * (d + 1)
-    for e, c in f.terms.items():
-        cs[e[0]] = c
-    return cs
-
-
-def _univ_from_coeffs(cs, name):
-    return MultiPoly((name,), {(i,): c for i, c in enumerate(cs) if c != 0})
 
 
 def _univ_gcd(a, b):
@@ -569,81 +552,10 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
     return g
 
 
-# --- exact linear algebra over Fraction (small dense systems) ---------------
-
-
-def frac_rref(rows, ncols):
-    """Reduced row echelon form over Q.  Returns (rref rows, pivot column list).
-
-    ``rows`` is a list of lists of Fractions; not modified.
-    """
-    m = [list(map(_as_fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def frac_rank(rows, ncols) -> int:
-    return len(frac_rref(rows, ncols)[1])
-
-
-def frac_kernel(rows, ncols):
-    """Basis of the right kernel over Q (list of Fraction vectors)."""
-    rref, pivots = frac_rref(rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def frac_solve(rows, rhs_cols, ncols):
-    """Solve A x = b for each rhs column; returns list of solution vectors or
-    raises DomainError when some system is inconsistent.
-
-    A is rows x ncols; rhs_cols is a list of right-hand-side vectors.
-    """
-    aug = [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(rows)]
-    rref, pivots = frac_rref(aug, ncols + len(rhs_cols))
-    if any(p >= ncols for p in pivots):
-        raise DomainError("inconsistent linear system")
-    sols = []
-    for j in range(len(rhs_cols)):
-        v = [_ZERO] * ncols
-        for r, pc in enumerate(pivots):
-            v[pc] = rref[r][ncols + j]
-        sols.append(v)
-    return sols
-
-
 # --- determinants over a ring ------------------------------------------------
 
 
-def _peel_singleton_rows(m, is_zero):
+def _peel_singleton_rows(m):
     """Laplace-eliminate rows with a single nonzero entry (cheap and common
     for Macaulay matrices of near-pure-power systems).  Mutates nothing;
     returns (sign, factors, reduced matrix) with det = sign * prod(factors)
@@ -656,7 +568,7 @@ def _peel_singleton_rows(m, is_zero):
     while changed and rows:
         changed = False
         for ri, i in enumerate(rows):
-            nz = [cj for cj, j in enumerate(cols) if not is_zero(m[i][j])]
+            nz = [cj for cj, j in enumerate(cols) if not m[i][j].is_zero()]
             if len(nz) == 0:
                 return sign, factors, None  # zero row: determinant vanishes
             if len(nz) == 1:
@@ -671,41 +583,6 @@ def _peel_singleton_rows(m, is_zero):
     return sign, factors, [[m[i][j] for j in cols] for i in rows]
 
 
-def det_fraction(rows):
-    """Determinant of a square Fraction matrix, with singleton-row peeling
-    and sparsity-aware pivoting."""
-    if not rows:
-        return _ONE
-    m = [list(map(_as_fraction, r)) for r in rows]
-    sign, factors, m = _peel_singleton_rows(m, lambda x: x == 0)
-    det = _ONE * sign
-    for f in factors:
-        det *= f
-    if m is None:
-        return _ZERO
-    n = len(m)
-    for c in range(n):
-        piv = None
-        best = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                nz = sum(1 for x in m[i] if x != 0)
-                if best is None or nz < best:
-                    best, piv = nz, i
-        if piv is None:
-            return _ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 def det_poly(rows, names):
     """Determinant of a square matrix of MultiPoly entries (Bareiss
     fraction-free elimination on top of singleton-row peeling; every
@@ -714,7 +591,7 @@ def det_poly(rows, names):
     if n == 0:
         return MultiPoly.constant(1, names)
     m = [[e if isinstance(e, MultiPoly) else MultiPoly.constant(e, names) for e in r] for r in rows]
-    sign, factors, m = _peel_singleton_rows(m, lambda x: x.is_zero())
+    sign, factors, m = _peel_singleton_rows(m)
     lead = MultiPoly.constant(sign, names)
     for f in factors:
         lead = lead * f
@@ -774,18 +651,18 @@ def _binary_coeff_list(f: MultiPoly, pair):
     return cs, rest
 
 
+def sylvester_rows(fc, gc, zero=0):
+    """Sylvester matrix rows of two binary forms given by their coefficient
+    lists, leading coefficient first."""
+    m, n = len(fc) - 1, len(gc) - 1
+    return ([[zero] * k + list(fc) + [zero] * (n - 1 - k) for k in range(n)]
+            + [[zero] * k + list(gc) + [zero] * (m - 1 - k) for k in range(m)])
+
+
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, pair):
     fc, rest = _binary_coeff_list(f, pair)
     gc, _ = _binary_coeff_list(g, pair)
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    zero = MultiPoly.zero(rest)
-    rows = []
-    for k in range(n):
-        rows.append([zero] * k + fc + [zero] * (n - 1 - k))
-    for k in range(m):
-        rows.append([zero] * k + gc + [zero] * (m - 1 - k))
-    return rows, rest
+    return sylvester_rows(fc, gc, MultiPoly.zero(rest)), rest
 
 
 def sylvester_resultant_generic(f: MultiPoly, g: MultiPoly, pair) -> MultiPoly:
@@ -900,8 +777,8 @@ def macaulay_resultant(forms, ambient_names):
         sub_idx = [k for k, fl in enumerate(reduced_flags) if not fl]
         if not symbol_names:
             frows = [[e.coefficient(()) for e in r] for r in rows]
-            det_m = det_fraction(frows)
-            det_sub = det_fraction([[frows[i][j] for j in sub_idx] for i in sub_idx])
+            det_m = det(frows)
+            det_sub = det([[frows[i][j] for j in sub_idx] for i in sub_idx])
             if det_sub == 0:
                 last_error = MacaulayDegenerateError(
                     f"denominator minor vanished for variable shift {shift}")
@@ -942,14 +819,14 @@ def essential_variable_count(f: MultiPoly):
     monos = sorted({e for p in partials for e in p.terms})
     # rows indexed by variables: coefficient vectors of the partials
     rows = [[p.terms.get(e, _ZERO) for e in monos] for p in partials]
-    kernel = frac_kernel([list(col) for col in zip(*rows)], nv) if monos else \
+    kernel = exact_kernel([list(col) for col in zip(*rows)], nv) if monos else \
         [[_ONE if i == j else _ZERO for j in range(nv)] for i in range(nv)]
     # kernel of the map v -> sum_i v_i d_i f, i.e. right kernel of the
     # (monomials x variables) matrix
     k = nv - len(kernel)
     # basis of the annihilator of the kernel: right kernel of kernel matrix
     if kernel:
-        forms_vecs = frac_kernel([list(v) for v in kernel], nv)
+        forms_vecs = exact_kernel([list(v) for v in kernel], nv)
     else:
         forms_vecs = [[_ONE if i == j else _ZERO for j in range(nv)] for i in range(nv)]
     forms = []

@@ -20,20 +20,15 @@ import numpy as np
 
 from .cayley import T4
 from .errors import BudgetError, DomainError
-from .hilbert_samuel import ExternalConstants, bound_evaluator, bound_exponent
+from .hilbert_samuel import (ExternalConstants, _det3, bound_evaluator,
+                             bound_exponent, gram_matrix_doubled)
+from .linalg import solve
 from .multipoly import MultiPoly, restrict
 
 SURFACE_B_BUDGET = 512
 CURVE_B_BUDGET = 10_000
-
-
-@dataclass(frozen=True)
-class CountQuery:
-    forms: tuple
-    names: tuple
-    mode: str          # "projective" | "affine"
-    B: float
-    norm: str = "max"  # projective: max; affine: euclidean
+# fibers per prefix chunk; bounds the scan's working memory
+CHUNK_FIBERS = 1 << 18
 
 
 @dataclass
@@ -83,7 +78,9 @@ def _coeff_polys(form: MultiPoly, var: str):
 
 def _cubic_real_roots(c3, c2, c1, c0):
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0 elementwise),
-    returned as three float arrays (duplicated roots where fewer exist)."""
+    returned as three float arrays.  Where one real root is found, the other
+    two slots hold the double root the cubic would have if rounding had
+    pushed a zero discriminant below 0."""
     a = c3.astype(np.float64)
     b = c2.astype(np.float64)
     c = c1.astype(np.float64)
@@ -98,10 +95,9 @@ def _cubic_real_roots(c3, c2, c1, c0):
         s = np.sqrt(np.maximum(q[one] ** 2 / 4 + p[one] ** 3 / 27, 0.0))
         u = np.cbrt(-q[one] / 2 + s)
         v = np.cbrt(-q[one] / 2 - s)
-        x = u + v - shift[one]
-        roots[0][one] = x
-        roots[1][one] = x
-        roots[2][one] = x
+        roots[0][one] = u + v - shift[one]
+        roots[1][one] = -(u + v) / 2 - shift[one]
+        roots[2][one] = roots[1][one]
     three = ~one           # disc >= 0 forces p <= 0
     if three.any():
         p3, q3, sh3 = p[three], q[three], shift[three]
@@ -209,14 +205,14 @@ def _canon_projective(pt):
     return pt
 
 
-def _prefix_chunks(nvars: int, B: int, max_inner: int = 2_200_000):
+def _prefix_chunks(nvars: int, B: int):
     """Yield dicts of index-keyed int64 arrays covering [-B, B]^nvars without
     materializing the full grid: outer coordinates are looped in Python when
     the grid would be large."""
     rng = np.arange(-B, B + 1, dtype=np.int64)
     width = 2 * B + 1
     inner = nvars
-    while inner > 1 and width ** inner > max_inner:
+    while inner > 1 and width ** inner > CHUNK_FIBERS:
         inner -= 1
     outer = nvars - inner
     inner_grids = np.meshgrid(*([rng] * inner), indexing="ij") if inner else []
@@ -402,12 +398,7 @@ def _conic_points_parameterized(Q, ell, B, base_search):
         sub[n] = expr
     Qy = _compose_linear(Q, sub, ynames)
     # the chord construction needs a smooth conic
-    from .hilbert_samuel import gram_matrix_doubled
-    A = gram_matrix_doubled(Qy)
-    det = (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-           - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-           + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
-    if det == 0:
+    if _det3(gram_matrix_doubled(Qy)) == 0:
         return None
     y0 = _solve_int_coords(basis, base)
     # chord parameterization through y0: x(s,u) = B(y0,w) w - Q(w) y0
@@ -547,9 +538,8 @@ def _hermite_rows(rows):
 
 def _solve_int_coords(basis, point):
     """Rational plane coordinates of an ambient point (clears to integers)."""
-    from .multipoly import frac_solve
-    rows = [[Fraction(basis[j][i]) for j in range(3)] for i in range(4)]
-    sol = frac_solve(rows, [[Fraction(v) for v in point]], 3)[0]
+    rows = [[basis[j][i] for j in range(3)] for i in range(4)]
+    sol = solve(rows, [list(point)], 3)[0]
     den = 1
     for x in sol:
         den = den * x.denominator // gcd(den, x.denominator)
@@ -687,14 +677,8 @@ def integral_conics_experiment(f_affine: MultiPoly, B_list,
     if not B_list:
         return {"B_list": [], "counts": [], "fitted_exponent": None}
     res = enumerate_affine([f_affine], names, max(B_list), budget=budget)
-    onlines = set()
-    if lines:
-        for rl in lines:
-            u, v = rl.line.u, rl.line.v
-            for p in res.points:
-                sub = {"T0": Fraction(1), **{n: Fraction(x) for n, x in zip(names, p)}}
-                if u.substitute(sub).is_zero() and v.substitute(sub).is_zero():
-                    onlines.add(p)
+    onlines = ({p[1:] for p in points_on_lines([(1,) + p for p in res.points], lines)}
+               if lines else set())
     offline = [p for p in res.points if p not in onlines]
     counts = []
     trivial_ok = []

@@ -5,7 +5,7 @@ results, and a provenance tag on each numeric claim ({exact, fitted,
 paper-overlay}, with external constants additionally labeled as
 user-supplied).  Reports are byte-identical across runs for a fixed config
 and seed: wall-clock timing is excluded from the canonical JSON and only
-appears when explicitly requested (and in CSV convenience exports).
+appears when explicitly requested.
 """
 
 from __future__ import annotations
@@ -63,16 +63,15 @@ class ExperimentReport:
         return json.dumps(self.to_dict(with_timing), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        """Tabular convenience export: one row per (B, count, seconds) when
-        the results carry per-B counts, else flat key/value rows."""
+        """Tabular convenience export: one row per (B, count) when the
+        results carry per-B counts, else flat key/value rows."""
         buf = io.StringIO()
         w = csv.writer(buf)
         res = self.results
         if "B_list" in res and "counts" in res:
-            w.writerow(["B", "count", "seconds"])
-            per = self.timing_s / max(len(res["B_list"]), 1) if self.timing_s else ""
+            w.writerow(["B", "count"])
             for b, c in zip(res["B_list"], res["counts"]):
-                w.writerow([b, c, per])
+                w.writerow([b, c])
         else:
             w.writerow(["key", "value"])
             for k in sorted(res):

@@ -45,7 +45,7 @@ def test_incidence_form_examples():
 
 def test_incidence_exactness_random_pairs():
     # psi_L(p(M)) = 0 exactly when the stacked 4x4 hyperplane matrix is singular
-    from cubiconics.multipoly import det_fraction
+    from cubiconics.linalg import det
     rng = random.Random(12)
     for _ in range(1000):
         L, M = rand_line(rng), rand_line(rng)
@@ -54,8 +54,7 @@ def test_incidence_exactness_random_pairs():
         for form in (L.u, L.v, M.u, M.v):
             rows.append([form.coefficient(tuple(1 if i == k else 0 for i in range(4)))
                          for k in range(4)])
-        det = det_fraction(rows)
-        assert (val == 0) == (det == 0)
+        assert (val == 0) == (det(rows) == 0)
 
 
 def test_self_incidence():

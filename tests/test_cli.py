@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +93,7 @@ def test_report_files_and_csv(capsys, data_dir, tmp_path):
     assert code == 0
     assert (out / "count.json").exists()
     csv_text = (out / "count.csv").read_text()
-    assert csv_text.splitlines()[0] == "B,count,seconds"
+    assert csv_text.splitlines()[0] == "B,count"
 
 
 def test_census_reproducible(capsys, data_dir):
@@ -103,3 +104,26 @@ def test_census_reproducible(capsys, data_dir):
     assert out1 == out2
     rep = json.loads(out1)
     assert rep["results"]["counts"][0] >= 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# README command-line examples, without `verify` (the slowest); tests/golden
+# holds the JSON each must print, byte for byte
+README_EXAMPLES = {
+    "primes": "primes --x-max 1e5",
+    "hs": "hs --d 2 --mu 1 --m-max 10000",
+    "classify": "classify --surface data/fermat.cubic",
+    "cayley": "cayley --curve data/conic_p3.txt",
+    "pencil": "pencil --surface data/fermat.cubic --line-height 1",
+    "census": "census --surface data/fermat.cubic --line-height 1 --B 100,400",
+    "count": "count --curve data/conic.txt --B 2,8,32",
+    "aux": "aux --curve data/line_p2.txt --B 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_golden_json(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the reports echo the relative input paths
+    code, out = run_cli(capsys, *README_EXAMPLES[name].split())
+    assert code == 0
+    assert out == (ROOT / "tests" / "golden" / f"{name}.json").read_text()

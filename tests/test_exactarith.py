@@ -4,8 +4,8 @@ import random
 import pytest
 
 from cubiconics.errors import BudgetError, DomainError
-from cubiconics.exactarith import (FieldContext, GFContext, bertrand_prime,
-                                   factorize, ff_factor_linear, mertens_check,
+from cubiconics.exactarith import (GFContext, bertrand_prime, factorize,
+                                   ff_factor_linear, mertens_check,
                                    prime_sum_over_divisors, primes_up_to,
                                    theta_psi_phi)
 from cubiconics.multipoly import MultiPoly
@@ -14,13 +14,6 @@ from cubiconics.multipoly import MultiPoly
 def naive_primes(n):
     return [p for p in range(2, n + 1)
             if all(p % q for q in range(2, int(p ** 0.5) + 1))]
-
-
-def test_field_context_defaults():
-    ctx = FieldContext()
-    assert ctx.degree == 1 and ctx.minkowski_constant == 1 and ctx.bertrand_factor == 2
-    with pytest.raises(DomainError):
-        FieldContext(degree=2)
 
 
 def test_primes_up_to_against_naive_sieve():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cubiconics.errors import DomainError, NonDivisibleError
-from cubiconics.multipoly import (MultiPoly, det_fraction, embed,
-                                  essential_variable_count, frac_kernel,
-                                  frac_rank, gcd_binary_forms,
-                                  macaulay_resultant, sylvester_resultant)
+from cubiconics.linalg import det, exact_kernel, rank
+from cubiconics.multipoly import (MultiPoly, embed, essential_variable_count,
+                                  gcd_binary_forms, macaulay_resultant,
+                                  sylvester_resultant)
 
 T = ("T0", "T1", "T2", "T3")
 B2 = ("T0", "T1")
@@ -142,8 +142,7 @@ def test_macaulay_linear_forms_equal_determinant():
                             for k in range(4) if rows[j][k]}) for j in range(4)]
         if any(f.is_zero() for f in fs):
             continue
-        det = det_fraction([[Fraction(x) for x in r] for r in rows])
-        assert macaulay_resultant(fs, T) == det
+        assert macaulay_resultant(fs, T) == det([[Fraction(x) for x in r] for r in rows])
 
 
 def test_macaulay_symbolic_degree_homogeneity():
@@ -186,6 +185,6 @@ def test_parse_roundtrip():
 
 def test_frac_linear_algebra():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert frac_rank(rows, 2) == 1
-    ker = frac_kernel(rows, 2)
+    assert rank(rows, 2) == 1
+    ker = exact_kernel(rows, 2)
     assert len(ker) == 1 and rows[0][0] * ker[0][0] + rows[0][1] * ker[0][1] == 0

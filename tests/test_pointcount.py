@@ -73,6 +73,13 @@ def test_exactness_small_B_rescan():
     for B in (2, 4, 8):
         fast = set(enumerate_projective([f], T4, B).points)
         assert fast == brute_projective([f], T4, B)
+    # (T3-T0)^2 (T3+T1) + T2^3 - T2*T0^2: its fibers in T3 have integer
+    # double roots that float rounding can turn into a negative discriminant
+    g = MultiPoly.parse("T3^3 + T1*T3^2 - 2*T0*T3^2 - 2*T0*T1*T3 + T0^2*T3"
+                        " + T0^2*T1 + T2^3 - T0^2*T2", T4)
+    for B in (2, 4):
+        fast = set(enumerate_projective([g], T4, B).points)
+        assert fast == brute_projective([g], T4, B)
 
 
 def test_solve_variable_permutation_invariance():
