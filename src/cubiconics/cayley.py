@@ -111,11 +111,10 @@ class PluckerForm:
 
     def evaluate(self, plucker_coords) -> Fraction:
         """Value at a numeric 6-tuple of line coordinates."""
-        sub = {n: Fraction(v) for n, v in zip(PLUCKER, plucker_coords)}
-        val = self.poly.substitute(sub)
-        if val.variables_used():
+        if self.poly.variables_used() - set(PLUCKER):
             raise DomainError("form still has free parameters; specialize t first")
-        return val.coefficient((0,) * len(val.names))
+        coords = dict(zip(PLUCKER, plucker_coords))
+        return self.poly.evaluate([coords.get(n, 0) for n in self.poly.names])
 
     def specialize_t(self, t1, t2) -> "PluckerForm":
         if "t1" not in self.poly.names:
@@ -160,9 +159,8 @@ class LineP3:
         u = restrict(u, T4)
         v = restrict(v, T4)
         pl = plucker_of_line(u, v)
-        g = grassmann_relation()
-        val = g.substitute({n: Fraction(x) for n, x in zip(PLUCKER, pl)})
-        assert val.is_zero(), "minor vector violates the quadric relation"
+        assert grassmann_relation().evaluate(pl) == 0, \
+            "minor vector violates the quadric relation"
         return cls(u, v, pl)
 
 

@@ -369,7 +369,7 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         results = args.func(args)
     except PropertyViolationError as exc:
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
               if k not in ("func",) and v is not None}
     inputs = {k: config.get(k) for k in ("surface", "curve", "B") if config.get(k)}
     report = ExperimentReport(args.command, inputs, config, results,
-                              timing_s=round(time.time() - t0, 3))
+                              timing_s=round(time.perf_counter() - t0, 3))
     _emit(report, args)
     return 0
 

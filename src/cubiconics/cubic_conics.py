@@ -128,24 +128,48 @@ def _form_from_row(row):
                           for m, c in enumerate(row) if c != 0})
 
 
+def _line_spanning_points(row1, row2):
+    """Two integer points spanning the line cut out by two independent rows.
+
+    For each omitted column, the cross product of the rows' other three
+    entries, with 0 in the omitted slot, lies in the kernel; together these
+    vectors span it, so the first nonzero one and the first one independent
+    of it are taken.
+    """
+    a, b = linalg._integer_rows([row1, row2])[0]
+    span = []
+    for k in range(4):
+        i, j, l = (c for c in range(4) if c != k)
+        w = [0] * 4
+        w[i] = a[j] * b[l] - a[l] * b[j]
+        w[j] = a[l] * b[i] - a[i] * b[l]
+        w[l] = a[i] * b[j] - a[j] * b[i]
+        if not any(w):
+            continue
+        if span and not any(span[0][r] * w[s] != span[0][s] * w[r]
+                            for r, s in itertools.combinations(range(4), 2)):
+            continue
+        span.append(w)
+        if len(span) == 2:
+            return span
+    raise DomainError("rows do not cut out a line")
+
+
 def line_in_forms(row1, row2, forms) -> bool:
-    """Exact ideal membership of every form in (l1, l2), by substituting the
-    solved pivot variables."""
-    piv1 = next(k for k, c in enumerate(row1) if c != 0)
-    piv2 = next(k for k, c in enumerate(row2) if c != 0)
-    sub = {}
-    for piv, row in ((piv1, row1), (piv2, row2)):
-        expr = MultiPoly.zero(T4)
-        for c in range(4):
-            if c != piv and row[c] != 0:
-                expr = expr - (row[c] / row[piv]) * MultiPoly.variable(T4[c], T4)
-        sub[T4[piv]] = expr
-    # substitute sequentially (rows are in RREF so pivots do not collide)
+    """Exact ideal membership of every form in (l1, l2).
+
+    With P, Q spanning the line, a form of degree d restricts to a binary
+    form of degree d on it; vanishing at the d + 1 distinct points P + mQ,
+    m = 0..d, proves the restriction zero, which is ideal membership.  An
+    inhomogeneous form is tested one homogeneous part at a time.
+    """
+    P, Q = _line_spanning_points(row1, row2)
     for f in forms:
-        g = f.substitute({T4[piv1]: sub[T4[piv1]]})
-        g = g.substitute({T4[piv2]: sub[T4[piv2]]})
-        if not g.is_zero():
-            return False
+        parts = [f] if f.is_homogeneous() else f.split_by_degree(f.names).values()
+        for g in parts:
+            for m in range(g.total_degree() + 1):
+                if g.evaluate([p + m * q for p, q in zip(P, Q)]) != 0:
+                    return False
     return True
 
 
@@ -545,7 +569,7 @@ def _covering_degree(live, d: int) -> int:
     best = None
     for m in range(1, 40):
         tstar = (Fraction(1), Fraction(m))
-        vals = [_eval_binary(q, tstar) for q in live]
+        vals = [q.evaluate(tstar) for q in live]
         base = next((i for i, v in enumerate(vals) if v != 0), None)
         if base is None:
             continue
@@ -566,11 +590,6 @@ def _covering_degree(live, d: int) -> int:
         if best == 1:
             break
     return best or 1
-
-
-def _eval_binary(q: MultiPoly, t):
-    val = q.substitute({"t1": t[0], "t2": t[1]})
-    return val.coefficient((0,) * len(val.names))
 
 
 def _distinct_projective_roots(q: MultiPoly) -> int:

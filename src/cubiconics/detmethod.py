@@ -23,7 +23,7 @@ import numpy as np
 from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
-from .linalg import exact_kernel, rank_mod_p
+from .linalg import annihilates, exact_kernel, rank_mod_p
 from .multipoly import MultiPoly, restrict
 from .pointcount import enumerate_projective, homogenize
 
@@ -333,10 +333,8 @@ def _product_of_lines_witness(forms, names, points, D, mode):
         poly = poly * filler
     _, poly = poly.rational_content()
     # exact certificates
-    for p in pts:
-        sub = {n: Fraction(v) for n, v in zip(names, p)}
-        if not poly.substitute(sub).is_zero():
-            return None
+    if any(poly.evaluate(p) != 0 for p in pts):
+        return None
     if _contains_variety(poly, forms, mode):
         return None
     return AuxiliaryForm(D, poly, {
@@ -369,8 +367,7 @@ def _witness_at_degree(forms, names, points, monos, pivots, free, ideal_dim,
         tried += 1
         if v is None:
             continue
-        ok = all(sum(Fraction(x) * y for x, y in zip(r, v)) == 0 for r in rows)
-        if not ok:
+        if not annihilates(rows, v):
             continue  # unlucky pivot structure mod p
         cand = _vec_to_poly(v, monos, names)
         if not _contains_variety(cand, forms, mode):

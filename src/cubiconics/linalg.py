@@ -103,13 +103,20 @@ def exact_kernel(rows, ncols=None):
             v[fc] = Fraction(1)
             basis.append(_back_substitute(ech, pivots, v))
     for v in basis:
-        # an integer multiple of v keeps integer rows in integer arithmetic
-        den = lcm(*(x.denominator for x in v))
-        w = [int(x * den) for x in v]
-        for r in rows:
-            if sum(x * y for x, y in zip(r, w)) != 0:
-                raise AssertionError("kernel verification failed")
+        if not annihilates(rows, v):
+            raise AssertionError("kernel verification failed")
     return basis
+
+
+def annihilates(rows, v) -> bool:
+    """Whether every row has zero dot product with the rational vector v.
+
+    The check runs on an integer multiple of v, over its nonzero entries
+    only, so integer rows stay in integer arithmetic.
+    """
+    den = lcm(*(x.denominator for x in v))
+    w = [(j, int(x * den)) for j, x in enumerate(v) if x]
+    return all(sum(r[j] * x for j, x in w) == 0 for r in rows)
 
 
 def solve(rows, rhs_cols, ncols: int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, MacaulayDegenerateError, NonDivisibleError
 from .linalg import det, exact_kernel
@@ -311,6 +311,33 @@ class MultiPoly:
                 piece = piece * MultiPoly(self.names, {tuple(rest): _ONE})
             out = out + piece
         return out
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a point given as one int or Fraction per variable.
+
+        Denominators of the coefficients and of the point are cleared once,
+        so the terms are summed as Python integers.
+        """
+        if len(point) != len(self.names):
+            raise DomainError(f"point {point!r} does not match the ring {self.names}")
+        if not self.terms:
+            return _ZERO
+        xs = [x if isinstance(x, int) else _as_fraction(x) for x in point]
+        den = lcm(*(x.denominator for x in xs))
+        nums = [x.numerator * (den // x.denominator) for x in xs]
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        # x = nums/den: a term of degree k is scaled by den^(top - k)
+        top = self.total_degree() if den != 1 else 0
+        total = 0
+        for e, c in self.terms.items():
+            t = c.numerator * (cden // c.denominator)
+            for x, k in zip(nums, e):
+                if k:
+                    t *= x ** k
+            if den != 1:
+                t *= den ** (top - sum(e))
+            total += t
+        return Fraction(total, cden * den ** top)
 
     def homogeneous_component(self, subset, i: int) -> "MultiPoly":
         """Sum of monomials whose total degree over ``subset`` equals ``i``."""

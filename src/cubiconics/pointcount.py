@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -49,11 +48,23 @@ def _check_budget(nvars: int, B: float, budget: float | None):
 
 
 def _np_eval(poly: MultiPoly, arrays: dict):
-    """Evaluate a polynomial with integer coefficients on int64 arrays."""
+    """Evaluate a polynomial with integer coefficients on int64 arrays.
+
+    When sum |c| * X^deg over the terms, X the largest entry magnitude,
+    reaches 2^62, a term or a partial sum could wrap in int64, so the
+    evaluation runs on Python integers (object arrays) instead.
+    """
     shape = next(iter(arrays.values())).shape
-    total = np.zeros(shape, dtype=np.int64)
+    X = max((max(-int(a.min()), int(a.max())) for a in arrays.values() if a.size),
+            default=0)
+    if sum(abs(int(c)) * X ** sum(e) for e, c in poly.terms.items()) < 1 << 62:
+        dtype = np.int64
+    else:
+        dtype = object
+        arrays = {k: a.astype(object) for k, a in arrays.items()}
+    total = np.zeros(shape, dtype=dtype)
     for e, c in poly.terms.items():
-        term = np.full(shape, int(c), dtype=np.int64)
+        term = np.full(shape, int(c), dtype=dtype)
         for name, ei in zip(poly.names, e):
             if ei:
                 a = arrays[name]
@@ -231,9 +242,8 @@ def _prefix_chunks(nvars: int, B: int):
         yield chunk
 
 
-def _verify_point_exact(forms, names, point) -> bool:
-    sub = {n: Fraction(int(v)) for n, v in zip(names, point)}
-    return all(f.substitute(sub).is_zero() for f in forms)
+def _verify_point_exact(forms, point) -> bool:
+    return all(f.evaluate(point) == 0 for f in forms)
 
 
 def enumerate_projective(forms, names, B, budget: float | None = None,
@@ -274,7 +284,7 @@ def enumerate_projective(forms, names, B, budget: float | None = None,
                 full = tuple(x if n == var else base[n] for n in names)
                 cp = _canon_projective(full)
                 if cp is not None and cp not in pts:
-                    if _verify_point_exact(forms, names, full):
+                    if _verify_point_exact(forms, full):
                         pts.add(cp)
     ordered = tuple(sorted(pts))
     return CountResult(len(ordered), ordered, True)
@@ -340,7 +350,7 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
             base = {n: int(prefix[n][i]) for n in others}
             for x in range(-m, m + 1):
                 full = tuple(base[n] if n != var else x for n in names)
-                if full not in pts and _verify_point_exact(forms, names, full):
+                if full not in pts and _verify_point_exact(forms, full):
                     pts.add(full)
     ordered = tuple(sorted(pts))
     return CountResult(len(ordered), ordered, True)
@@ -609,8 +619,7 @@ def points_on_lines(points, lines):
     for rl in lines:
         u, v = rl.line.u, rl.line.v
         for p in points:
-            sub = {n: Fraction(x) for n, x in zip(T4, p)}
-            if u.substitute(sub).is_zero() and v.substitute(sub).is_zero():
+            if u.evaluate(p) == 0 and v.evaluate(p) == 0:
                 out.add(p)
     return out
 

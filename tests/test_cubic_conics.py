@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,12 +6,14 @@ from math import gcd
 import pytest
 
 from cubiconics.cayley import T4, TPAR, cayley_plane_curve
-from cubiconics.cubic_conics import (CubicSurface, absolutely_irreducible_cubic_mod_p,
+from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
+                                     absolutely_irreducible_cubic_mod_p,
                                      census_cutoff_constant, classify_cubic,
                                      cofactor_pair, conic_census, conic_family,
                                      family_image, find_lines,
                                      height_pairing_check, leading_family,
-                                     residual_conic, specialized_height)
+                                     line_in_forms, residual_conic,
+                                     specialized_height)
 from cubiconics.errors import DomainError
 from cubiconics.multipoly import MultiPoly, gcd_binary_forms
 
@@ -33,6 +36,53 @@ def test_found_count_below_27(corpus_forms):
     for f in corpus_forms[:4]:
         surf = CubicSurface.make(f)
         assert len(find_lines(surf, 1)) <= 27
+
+
+def line_in_forms_by_substitution(row1, row2, forms):
+    """Reference ideal-membership test: solve each row for its pivot
+    variable and substitute the solutions into every form."""
+    for row in (row1, row2):
+        piv = next(k for k, c in enumerate(row) if c != 0)
+        expr = MultiPoly.zero(T4)
+        for c in range(4):
+            if c != piv and row[c] != 0:
+                expr = expr - (row[c] / row[piv]) * MultiPoly.variable(T4[c], T4)
+        forms = [f.substitute({T4[piv]: expr}) for f in forms]
+    return all(f.is_zero() for f in forms)
+
+
+@pytest.mark.parametrize("case", ["fermat", "corpus_02", "corpus_06", "skew", "cone",
+                                  "inhomogeneous"])
+def test_line_in_forms_matches_substitution(case, corpus_forms):
+    f = {"fermat": MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3", T4),
+         "corpus_02": corpus_forms[1],  # no line of height 1
+         "corpus_06": corpus_forms[5],
+         "skew": MultiPoly.parse("T0^2*T2 + T1^2*T3", T4),
+         "cone": MultiPoly.parse("T0^3 + T1^3 - T0*T1*T2", T4),
+         # tested one homogeneous part at a time; one Fermat line survives
+         "inhomogeneous": MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3 + T0*T2 + T1*T2",
+                                          T4)}[case]
+    # the singular-line search of classify_cubic asks for [partials..., f];
+    # the cone's T3 partial is the zero form
+    forms = [f.partial(n) for n in T4] + [f] if case in ("skew", "cone") else [f]
+    hits = 0
+    for row1, row2 in _rref_line_candidates(1, 10_000):
+        got = line_in_forms(row1, row2, forms)
+        assert got == line_in_forms_by_substitution(row1, row2, forms), (row1, row2)
+        hits += got
+    assert (hits > 0) == (case != "corpus_02")
+
+
+def test_line_in_forms_needs_degree_plus_one_zeros():
+    # on the line T0 = T1 = 0, cubics with three zeros are not in the ideal
+    one, zero = Fraction(1), Fraction(0)
+    row1, row2 = [one, zero, zero, zero], [zero, one, zero, zero]
+    for x, y in (("T2", "T3"), ("T3", "T2")):
+        X, Y = MultiPoly.variable(x, T4), MultiPoly.variable(y, T4)
+        for a, b in itertools.combinations(range(-3, 4), 2):
+            g = X * (X - a * Y) * (X - b * Y)
+            assert not line_in_forms(row1, row2, [g])
+            assert line_in_forms(row1, row2, [g * MultiPoly.variable("T0", T4)])
 
 
 def test_classify_fermat(fermat_surface):

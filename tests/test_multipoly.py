@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank
@@ -142,7 +145,30 @@ def test_macaulay_linear_forms_equal_determinant():
                             for k in range(4) if rows[j][k]}) for j in range(4)]
         if any(f.is_zero() for f in fs):
             continue
-        assert macaulay_resultant(fs, T) == det([[Fraction(x) for x in r] for r in rows])
+        assert macaulay_resultant(fs, T) == leibniz_det(rows)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations (sign by inversions)."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_linalg_det_matches_leibniz():
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            assert det(rows) == leibniz_det(rows)
 
 
 def test_macaulay_symbolic_degree_homogeneity():
@@ -188,3 +214,39 @@ def test_frac_linear_algebra():
     assert rank(rows, 2) == 1
     ker = exact_kernel(rows, 2)
     assert len(ker) == 1 and rows[0][0] * ker[0][0] + rows[0][1] * ker[0][1] == 0
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def poly_and_point(draw):
+    nv = draw(st.integers(1, 4))
+    names = T[:nv]
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    terms = draw(st.dictionaries(exps, fractions, max_size=8))
+    point = draw(st.lists(fractions, min_size=nv, max_size=nv))
+    return MultiPoly(names, terms), point
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(poly_and_point())
+def test_evaluate_matches_substitute(case):
+    f, point = case
+    val = f.substitute(dict(zip(f.names, point)))
+    assert val.variables_used() == set()
+    assert f.evaluate(point) == val.coefficient((0,) * len(f.names))
+    mixed = [x.numerator if x.denominator == 1 else x for x in point]
+    assert f.evaluate(mixed) == f.evaluate(point)
+
+
+def test_evaluate_examples():
+    f = MultiPoly.parse("2/3*T0^2*T1 - T2 + 5", T)
+    assert f.evaluate((3, Fraction(1, 2), 7, 0)) == 1
+    assert f.evaluate((Fraction(1, 2), Fraction(1, 3), 0, 0)) == Fraction(1, 18) + 5
+    assert MultiPoly.zero(T).evaluate((1, 2, 3, 4)) == 0
+    assert MultiPoly.constant(Fraction(-7, 2), T).evaluate((0, 0, 0, 0)) == Fraction(-7, 2)
+    with pytest.raises(DomainError):
+        f.evaluate((1, 2, 3))
+    with pytest.raises(DomainError):
+        f.evaluate((1.0, 2, 3, 4))

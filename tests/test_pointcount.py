@@ -82,6 +82,14 @@ def test_exactness_small_B_rescan():
         assert fast == brute_projective([g], T4, B)
 
 
+def test_large_coefficients_do_not_wrap():
+    # 2^62 * T0^3 wraps to 0 in int64 at every even T0, which would turn
+    # (2, 1, 1) and its kin into false points of T1^3 - T2^3
+    f = MultiPoly.parse(f"T1^3 - T2^3 + {1 << 62}*T0^3", P2)
+    r = enumerate_projective([f], P2, 4)
+    assert set(r.points) == brute_projective([f], P2, 4) == {(0, 1, 1)}
+
+
 def test_solve_variable_permutation_invariance():
     f = MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3", T4)
     base = set(enumerate_projective([f], T4, 6).points)
