@@ -2,7 +2,7 @@
 Hilbert-Samuel combinatorics, conic pencils on cubic surfaces, bounded-height
 point counts and auxiliary-hypersurface searches."""
 
-from .cayley import (BiForm, LineP3, PLUCKER, PluckerForm, T4, TPAR, UV,
+from .cayley import (LineP3, PLUCKER, PluckerForm, T4, TPAR, UV,
                      canonical_mod_G, cayley_degree_parts, cayley_hypersurface,
                      cayley_plane_curve, cayley_plane_curve_macaulay,
                      grassmann_relation, incidence_form, plucker_of_line,

@@ -25,7 +25,8 @@ from fractions import Fraction
 from .errors import DomainError, NotFrameInvariantError
 from .heights import normalize_primitive_vector
 from .linalg import solve
-from .multipoly import (MultiPoly, embed, macaulay_resultant, restrict,
+from .multipoly import (MultiPoly, embed, macaulay_resultant,
+                        monomials_of_degree, restrict,
                         sylvester_resultant_generic)
 
 T4 = ("T0", "T1", "T2", "T3")
@@ -220,21 +221,6 @@ def bidegree(b: MultiPoly, names=UV):
     return b.degree_in(uvars), b.degree_in(vvars)
 
 
-@dataclass(frozen=True)
-class BiForm:
-    """Bidegree-(k,k) form in a symbolic hyperplane pair."""
-
-    poly: MultiPoly
-    k: int
-
-    @classmethod
-    def make(cls, poly: MultiPoly) -> "BiForm":
-        du, dv = bidegree(poly)
-        if du != dv:
-            raise DomainError(f"bidegree ({du},{dv}) is not balanced")
-        return cls(poly, du)
-
-
 # --- hypersurface Cayley form -----------------------------------------------------
 
 
@@ -263,44 +249,7 @@ def cayley_hypersurface(f: MultiPoly) -> MultiPoly:
 # --- descent from biforms to line coordinates --------------------------------------
 
 
-def _p_monomials(k: int, reduced=True):
-    """Exponent vectors of degree-k monomials in the six line coordinates;
-    with ``reduced`` drop those divisible by p01*p23."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == 5:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e)
-
-    rec((), k)
-    if reduced:
-        out = [e for e in out if not (e[0] and e[5])]
-    return out
-
-
-def certify_frame_invariance(b: MultiPoly, k: int) -> bool:
-    """Check b(a*u + c*v, b*u + d*v) == (ad - bc)^k * b(u, v) on a symbolic
-    2x2 frame change."""
-    frame = ("A", "B", "C", "D")
-    ext = tuple(b.names) + frame
-    bx = embed(b, ext)
-    A, B, C, D = (MultiPoly.variable(x, ext) for x in frame)
-    sub = {}
-    for i in range(4):
-        ui = MultiPoly.variable(f"u{i}", ext)
-        vi = MultiPoly.variable(f"v{i}", ext)
-        sub[f"u{i}"] = A * ui + C * vi
-        sub[f"v{i}"] = B * ui + D * vi
-    lhs = bx.substitute(sub)
-    rhs = (A * D - B * C) ** k * bx
-    return lhs == rhs
-
-
-def rewrite_biform_to_plucker(b: MultiPoly, k: int | None = None,
-                              certify: bool = True) -> PluckerForm:
+def rewrite_biform_to_plucker(b: MultiPoly) -> PluckerForm:
     """Descend a frame-invariant (k,k)-biform to the canonical degree-k form
     in line coordinates: P with P(p(u,v)) == b(u,v) identically.
 
@@ -310,16 +259,12 @@ def rewrite_biform_to_plucker(b: MultiPoly, k: int | None = None,
     """
     tvars = tuple(n for n in b.names if n in TPAR)
     uvnames = UV
-    if k is None:
-        du, dv = bidegree(b)
-        if du != dv:
-            raise NotFrameInvariantError("bidegree is not balanced")
-        k = du
-    if certify and not certify_frame_invariance(restrict(b, UV + tvars) if tvars else b, k):
-        raise NotFrameInvariantError("biform fails the determinant-twist certificate")
+    du, dv = bidegree(b)
+    if du != dv:
+        raise NotFrameInvariantError("bidegree is not balanced")
 
     minors = minor_biforms(uvnames)
-    monos = _p_monomials(k)
+    monos = [e for e in monomials_of_degree(6, du) if not (e[0] and e[5])]
     # expansion of each candidate monomial as a biform
     cols = []
     for e in monos:
@@ -424,7 +369,7 @@ def cayley_plane_curve(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
     if ell.divides(Q):
         raise DomainError("degenerate cycle: plane form divides the curve form")
     b = cycle_resultant_biform(Q, ell)
-    return rewrite_biform_to_plucker(b, certify=False)
+    return rewrite_biform_to_plucker(b)
 
 
 def cayley_plane_curve_macaulay(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
@@ -440,7 +385,7 @@ def cayley_plane_curve_macaulay(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
     res = macaulay_resultant([Qx, Lx, h1, h2], T4)
     if not isinstance(res, MultiPoly) or res.is_zero():
         raise DomainError("degenerate Macaulay output")
-    return rewrite_biform_to_plucker(restrict(res, UV), certify=False)
+    return rewrite_biform_to_plucker(restrict(res, UV))
 
 
 # --- coordinate-change laws -----------------------------------------------------------

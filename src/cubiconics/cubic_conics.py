@@ -25,10 +25,10 @@ from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm, UV,
                      cycle_resultant_biform, incidence_biform,
                      rewrite_biform_to_plucker)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
-from .exactarith import ff_factor_linear
-from .hilbert_samuel import _proj_points
+from .exactarith import eval_mod_p, ff_factor_linear, proj_points, reduce_mod_p
 from .multipoly import (MultiPoly, coefficients_in, embed, gcd_binary_forms,
-                        restrict, sylvester_resultant, sylvester_rows)
+                        monomials_of_degree, restrict, sylvester_resultant,
+                        sylvester_rows)
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
@@ -199,31 +199,11 @@ def smooth_mod_p(f: MultiPoly, p: int) -> bool:
     and its partials means the reduction is nonsingular."""
     _, prim = f.rational_content()
     polys = [prim] + [prim.partial(n) for n in T4]
-    tables = []
-    for g in polys:
-        tab = {e: int(c) % p for e, c in g.terms.items() if int(c) % p}
-        tables.append(tab)
+    tables = [reduce_mod_p(g, p) for g in polys]
     if not tables[0]:
         return False  # degenerate reduction
-    for pt in _proj_points(p, 4):
-        ok = False
-        for tab in tables:
-            v = 0
-            for e, c in tab.items():
-                term = c
-                for x, ei in zip(pt, e):
-                    if ei:
-                        if x == 0:
-                            term = 0
-                            break
-                        term = term * pow(x, ei, p) % p
-                v = (v + term) % p
-            if v:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return all(any(eval_mod_p(tab, pt, p) for tab in tables)
+               for pt in proj_points(p, 4))
 
 
 def classify_cubic(f: MultiPoly, primes=SMOOTHNESS_PRIMES,
@@ -298,24 +278,18 @@ def absolutely_irreducible_cubic_mod_p(f: MultiPoly, p: int,
     linear factor over the cubic extension or below, so exhaustive linear
     factor search decides the reduction; a certified-irreducible reduction
     of full degree lifts to absolute irreducibility in characteristic zero.
-    The representative is reduced as given (denominators cleared, content
-    kept), so a content divisible by p degenerates to "inconclusive".
+    The representative is reduced as given (content kept), so a content
+    or a denominator divisible by p degenerates to "inconclusive".
     """
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    if den % p == 0:
+    try:
+        red = reduce_mod_p(f, p)
+    except DomainError:
         return "inconclusive"
-    work = f * den
-    red_deg = -1
-    for e, c in work.terms.items():
-        if int(c) % p:
-            red_deg = max(red_deg, sum(e))
-    if red_deg != 3:
+    if max(map(sum, red), default=-1) != 3:
         return "inconclusive"
     try:
         for e in (1, 2, 3):
-            factors, _ = ff_factor_linear(work, p, e, budget=budget)
+            factors, _ = ff_factor_linear(f, p, e, budget=budget)
             if factors:
                 return "reducible"
     except BudgetError:
@@ -416,14 +390,14 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     coeffs = list(coefficients_in(conic_b, TPAR).values())
     b_content = gcd_binary_forms(coeffs, TPAR)
     conic_b = conic_b.exact_divide(embed(b_content, uvt))
-    psi = rewrite_biform_to_plucker(conic_b, certify=False)
+    psi = rewrite_biform_to_plucker(conic_b)
     if psi.degree != 2:
         raise PropertyViolationError(
             f"conic Cayley family has Pluecker degree {psi.degree}, expected 2")
 
     groups = coefficients_in(psi.poly, TPAR)
     b_ij = {}
-    for e in _all_degree2_pmonos():
+    for e in monomials_of_degree(6, 2):
         b_ij[e] = groups.get(e, MultiPoly.zero(TPAR))
     live = [q for q in b_ij.values() if not q.is_zero()]
     degs = {q.total_degree() for q in live}
@@ -445,17 +419,6 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     a_family = [b_ij[_pmono_exponent(pair)] for pair in A_MONOMIAL_ORDER]
     return ConicPencil(surface, rline, ell_sym, Q_sym, b_content, psi, b_ij,
                        a_family, family_degree)
-
-
-def _all_degree2_pmonos():
-    out = []
-    for i in range(6):
-        for j in range(i, 6):
-            e = [0] * 6
-            e[i] += 1
-            e[j] += 1
-            out.append(tuple(e))
-    return out
 
 
 # --- leading family and image shape ---------------------------------------------------
@@ -613,7 +576,7 @@ def _int_binary_forms(pencil: ConicPencil):
     coefficients, jointly denominator-cleared."""
     d = pencil.family_degree
     rows = []
-    for e in _all_degree2_pmonos():
+    for e in monomials_of_degree(6, 2):
         q = pencil.b_ij[e]
         row = _binary_coeff_row(q, d) if not q.is_zero() else [Fraction(0)] * (d + 1)
         rows.append(row)

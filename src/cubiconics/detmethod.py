@@ -24,7 +24,7 @@ from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
 from .linalg import annihilates, exact_kernel, rank_mod_p
-from .multipoly import MultiPoly, restrict
+from .multipoly import MultiPoly, monomials_of_degree, restrict
 from .pointcount import enumerate_projective, homogenize
 
 _SCAN_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
@@ -33,19 +33,8 @@ _SCAN_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
 def _monomials(nvars: int, D: int, mode: str):
     """Exponent vectors: degree exactly D (projective) or <= D (affine),
     graded-lex descending within each degree block."""
-    out = []
-    degs = [D] if mode == "projective" else list(range(D, -1, -1))
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    for d in degs:
-        rec((), d, nvars)
-    return out
+    degs = [D] if mode == "projective" else range(D, -1, -1)
+    return [e for d in degs for e in monomials_of_degree(nvars, d)]
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Exact integer/rational/finite-field arithmetic over Q.
 
 Places of Q are the rational primes plus one archimedean place.  Everything
-with number-theoretic content (sieves, prime sums, Bertrand windows, finite
-field factor searches) lives here; the prime-distribution functions are the
-log-weighted sums the bound formulas consume.
+with number-theoretic content (sieves, prime sums, Bertrand windows) lives
+here, and so does the one finite-field layer: reading a rational form mod p,
+evaluating it over F_p or GF(p^e), and the linear-factor search.  The
+prime-distribution functions are the log-weighted sums the bound formulas
+consume.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,7 +143,7 @@ def bertrand_prime(R: int) -> int:
     raise AssertionError("Bertrand interval unexpectedly empty")
 
 
-# --- finite fields GF(p^e), e <= 3 -------------------------------------------
+# --- finite fields: reduction mod p, F_p points, GF(p^e) with e <= 3 --------
 
 
 def _is_prime(n: int) -> bool:
@@ -176,10 +179,11 @@ def _find_irreducible(p: int, e: int):
 
 
 class GFContext:
-    """GF(p^e) with element encoding sum(c_i p^i) and full mul/inv tables.
+    """GF(p^e) with element encoding sum(c_i p^i) and full add/mul tables.
 
     The defining polynomial is the deterministic first irreducible in lex
-    order, so results are reproducible across runs and platforms.
+    order, so results are reproducible across runs and platforms.  Elements
+    of F_p encode as themselves in every extension.
     """
 
     def __init__(self, p: int, e: int):
@@ -189,8 +193,12 @@ class GFContext:
             raise DomainError("extension degree must be 1, 2 or 3")
         self.p, self.e, self.q = p, e, p ** e
         self.modulus = _find_irreducible(p, e)
-        self._mul = self._build_mul_table()
-        self._inv = self._build_inv_table()
+        digits = [self._decode(a) for a in range(self.q)]
+        self._add = [[self._encode([x + y for x, y in zip(a, b)]) for b in digits]
+                     for a in digits]
+        self._mul = [[self._poly_mul_mod(a, b) for b in digits] for a in digits]
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
     def _decode(self, a):
         out = []
@@ -205,59 +213,44 @@ class GFContext:
             v = v * self.p + (c % self.p)
         return v
 
-    def _poly_mul_mod(self, a, b):
-        p, e = self.p, self.e
-        ca, cb = self._decode(a), self._decode(b)
+    def _poly_mul_mod(self, ca, cb):
+        """Product of two digit lists modulo the defining polynomial."""
+        e = self.e
         prod = [0] * (2 * e - 1)
         for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
+            for j, y in enumerate(cb):
+                prod[i + j] += x * y
         # reduce modulo the defining polynomial (monic degree e)
         for d in range(len(prod) - 1, e - 1, -1):
             c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(e):
-                    prod[d - e + i] = (prod[d - e + i] - c * self.modulus[i]) % p
+            for i in range(e):
+                prod[d - e + i] -= c * self.modulus[i]
         return self._encode(prod[:e])
 
-    def _build_mul_table(self):
-        q = self.q
-        tbl = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._poly_mul_mod(a, b)
-                tbl[a, b] = v
-                tbl[b, a] = v
-        return tbl
-
-    def _build_inv_table(self):
-        q = self.q
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            row = self._mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        return inv
-
     def add(self, a, b):
-        p = self.p
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % p for x, y in zip(ca, cb)])
+        return self._add[a][b]
 
     def neg(self, a):
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+        return self._neg[a]
 
     def mul(self, a, b):
-        return int(self._mul[a, b])
+        return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF")
-        return int(self._inv[a])
+        return self._inv[a]
 
-    def embed_int(self, n: int):
-        return n % self.p
+    def evaluate(self, red: dict, pt) -> int:
+        """Value at pt (encoded elements) of a form reduced mod p."""
+        add, mul = self._add, self._mul
+        total = 0
+        for exps, c in red.items():
+            for x, k in zip(pt, exps):
+                for _ in range(k):
+                    c = mul[c][x]
+            total = add[total][c]
+        return total
 
     def element_str(self, a):
         if self.e == 1:
@@ -275,84 +268,39 @@ class GFContext:
         return " + ".join(bits) if bits else "0"
 
 
-class GFPoly:
-    """Sparse multivariate polynomial over a GFContext (internal helper)."""
+def reduce_mod_p(f: MultiPoly, p: int) -> dict:
+    """The nonzero coefficients of f as values in F_p, {exponent: int}.
 
-    __slots__ = ("ctx", "nvars", "terms")
+    Raises DomainError when p divides a coefficient denominator.
+    """
+    red = {}
+    for e, c in f.terms.items():
+        if c.denominator % p == 0:
+            raise DomainError(f"coefficient denominator divisible by {p}")
+        v = c.numerator * pow(c.denominator, -1, p) % p
+        if v:
+            red[e] = v
+    return red
 
-    def __init__(self, ctx, nvars, terms=None):
-        self.ctx = ctx
-        self.nvars = nvars
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
-    @classmethod
-    def from_multipoly(cls, f: MultiPoly, ctx: GFContext):
-        terms = {}
-        for e, c in f.terms.items():
-            if c.denominator % ctx.p == 0:
-                raise DomainError("coefficient denominator divisible by p")
-            # prime-field elements encode as themselves
-            v = (c.numerator * pow(c.denominator % ctx.p, -1, ctx.p)) % ctx.p
-            if v:
-                terms[e] = v
-        return cls(ctx, len(f.names), terms)
+def eval_mod_p(red: dict, pt, p: int) -> int:
+    """Value in F_p of a form reduced mod p at an integer point."""
+    total = 0
+    for exps, c in red.items():
+        for x, k in zip(pt, exps):
+            if k:
+                c = c * pow(x, k, p) % p
+        total += c
+    return total % p
 
-    def is_zero(self):
-        return not self.terms
 
-    def add_term(self, e, c):
-        if c == 0:
-            return
-        cur = self.terms.get(e, 0)
-        s = self.ctx.add(cur, c)
-        if s:
-            self.terms[e] = s
-        else:
-            self.terms.pop(e, None)
-
-    def mul(self, other):
-        out = GFPoly(self.ctx, self.nvars)
-        ctx = self.ctx
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out.add_term(e, ctx.mul(c1, c2))
-        return out
-
-    def exact_divide_linear(self, coeffs):
-        """Exact quotient by the linear form sum(coeffs[i] * x_i); None if the
-        division leaves a remainder."""
-        ctx = self.ctx
-        piv = next(i for i, c in enumerate(coeffs) if c)
-        piv_inv = ctx.inv(coeffs[piv])
-        q = GFPoly(ctx, self.nvars)
-        r = dict(self.terms)
-        while r:
-            e = max(r, key=lambda ex: (sum(ex), ex))
-            c = r[e]
-            if e[piv] == 0:
-                return None
-            te = list(e)
-            te[piv] -= 1
-            te = tuple(te)
-            tc = ctx.mul(c, piv_inv)
-            q.add_term(te, tc)
-            for j, lc in enumerate(coeffs):
-                if lc == 0:
-                    continue
-                ee = list(te)
-                ee[j] += 1
-                ee = tuple(ee)
-                delta = ctx.neg(ctx.mul(tc, lc))
-                cur = r.get(ee, 0)
-                s = ctx.add(cur, delta)
-                if s:
-                    r[ee] = s
-                else:
-                    r.pop(ee, None)
-            # the loop subtracted t*ell from r except the leading cancellation
-            # is included above (j == piv reproduces e)
-        return q
+def proj_points(q: int, nvars: int):
+    """Canonical representatives of P^{nvars-1}(F_q), first nonzero
+    coordinate 1, with coordinates in range(q) (field encodings when q is a
+    prime power)."""
+    for lead in range(nvars):
+        for t in itertools.product(range(q), repeat=nvars - lead - 1):
+            yield (0,) * lead + (1,) + t
 
 
 @dataclass(frozen=True)
@@ -377,43 +325,47 @@ class LinearFactor:
 def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
                      budget: int = DEFAULT_FF_BUDGET):
     """All linear forms over GF(p^extension_degree) dividing f (up to scalar),
-    by exhaustive substitution.  An empty result certifies that no linear
-    factor exists over that field.
+    in the order of ``proj_points``.  An empty result certifies that no
+    linear factor exists over that field.
+
+    A candidate ell divides f exactly when f vanishes on the hyperplane
+    ell = 0.  There f restricts to a polynomial of degree <= d (the degree
+    of f mod p) in each of the other coordinates, and such a polynomial that
+    vanishes on a grid S^(nvars-1) with |S| = d + 1 is zero (Alon's
+    Combinatorial Nullstellensatz).  S is {0..d} in the smallest GF(p^E)
+    containing GF(p^e), E <= 3, with more than d elements.
     """
     nvars = len(f.names)
-    work = p ** (extension_degree * nvars)
+    e = extension_degree
+    work = p ** (e * nvars)
     if work > budget:
         raise BudgetError(
             f"p^(e*nvars) = {work} exceeds budget {budget}", partial=None)
-    ctx = GFContext(p, extension_degree)
-    fp = GFPoly.from_multipoly(f, ctx)
-    if fp.is_zero():
+    ctx = GFContext(p, e)
+    red = reduce_mod_p(f, p)
+    if not red:
         raise DomainError("form vanishes identically mod p")
-    q = ctx.q
+    d = max(map(sum, red))
+    E = next((E for E in range(e, 4, e) if p ** E > d), None)
+    if E is None:
+        raise DomainError(f"no field GF({p}^E), E <= 3, has more than {d} elements")
+    grid_ctx = ctx if E == e else GFContext(p, E)
+    add, mul, neg = grid_ctx._add, grid_ctx._mul, grid_ctx._neg
+    # descending, so the origin (a zero of every form without a constant
+    # term) comes last
+    grid = list(itertools.product(range(d, -1, -1), repeat=nvars - 1))
     found = []
-    # normalized representatives: first nonzero coefficient is 1
-    for piv in range(nvars):
-        tail = nvars - piv - 1
-        for code in range(q ** tail):
-            coeffs = [0] * nvars
-            coeffs[piv] = 1
-            c = code
-            for j in range(tail):
-                coeffs[piv + 1 + j] = c % q
-                c //= q
-            quotient = fp.exact_divide_linear(coeffs)
-            if quotient is not None:
-                # exact-division certificate: quotient * ell == f
-                check = quotient.mul(_linear_gfpoly(ctx, nvars, coeffs))
-                assert check.terms == fp.terms, "division certificate failed"
-                found.append(LinearFactor(p, extension_degree, tuple(coeffs)))
+    for ell in proj_points(ctx.q, nvars):
+        piv = ell.index(1)
+        tail = [(j, neg[c]) for j, c in enumerate(ell) if c and j > piv]
+        for free in grid:
+            # the point of ell = 0 with these free coordinates
+            pt = list(free)
+            pt.insert(piv, 0)
+            for j, c in tail:
+                pt[piv] = add[pt[piv]][mul[c][pt[j]]]
+            if grid_ctx.evaluate(red, pt):
+                break
+        else:
+            found.append(LinearFactor(p, e, ell))
     return found, ctx
-
-
-def _linear_gfpoly(ctx, nvars, coeffs):
-    g = GFPoly(ctx, nvars)
-    for i, c in enumerate(coeffs):
-        if c:
-            e = tuple(1 if j == i else 0 for j in range(nvars))
-            g.add_term(e, c)
-    return g

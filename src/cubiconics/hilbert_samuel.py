@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, ConfigError, DegenerateReductionError, DomainError
-from .exactarith import factorize, ff_factor_linear
+from .exactarith import (eval_mod_p, factorize, ff_factor_linear, proj_points,
+                         reduce_mod_p)
 from .heights import harmonic
 from .linalg import rank, rank_mod_p
 from .multipoly import MultiPoly
@@ -159,25 +160,6 @@ def geometric_hs_window(d: int, delta: int, D: int):
 # --- reduction censuses -----------------------------------------------------------
 
 
-def _ternary_reduction(f: MultiPoly, p: int):
-    """Coefficients of f reduced mod p as {exps: int}.
-
-    Denominators (prime to p) are cleared, but the integer content is kept:
-    the reduction of the representative as given decides degeneracy.
-    """
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    if den % p == 0:
-        raise DomainError(f"coefficient denominators share the prime {p}")
-    red = {}
-    for e, c in f.terms.items():
-        v = int(c * den) % p
-        if v:
-            red[e] = v
-    return red
-
-
 def reduction_point_census(f: MultiPoly, p: int):
     """Points of the plane curve f = 0 over F_p with multiplicities.
 
@@ -189,24 +171,10 @@ def reduction_point_census(f: MultiPoly, p: int):
         raise DomainError("plane-curve census expects a ternary form")
     if f.is_zero():
         raise DomainError("zero form")
-    red = _ternary_reduction(f, p)
+    red = reduce_mod_p(f, p)
     if not red:
         raise DegenerateReductionError(f"form vanishes identically mod {p}")
-
-    def value(pt):
-        tot = 0
-        for e, c in red.items():
-            term = c
-            for x, ei in zip(pt, e):
-                if ei:
-                    term = term * pow(x, ei, p) % p
-            tot = (tot + term) % p
-        return tot
-
-    points = []
-    for rep in _proj_points(p, 3):
-        if value(rep) == 0:
-            points.append(rep)
+    points = [pt for pt in proj_points(p, 3) if eval_mod_p(red, pt, p) == 0]
 
     per_point = []
     n = 0
@@ -215,15 +183,6 @@ def reduction_point_census(f: MultiPoly, p: int):
         per_point.append({"point": pt, "mu": mu})
         n += mu
     return n, per_point
-
-
-def _proj_points(p: int, nvars: int):
-    """Canonical representatives of P^{nvars-1}(F_p): first nonzero coord 1."""
-    reps = []
-    for lead in range(nvars):
-        for t in itertools.product(range(p), repeat=nvars - lead - 1):
-            reps.append((0,) * lead + (1,) + t)
-    return reps
 
 
 def _jet_multiplicity(red, pt, p: int) -> int:

@@ -712,7 +712,7 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
     return r.coefficient(()) if not r.is_zero() else _ZERO
 
 
-def _monomials_of_degree(nvars, d):
+def monomials_of_degree(nvars, d):
     """Exponent vectors of total degree d, graded-lex descending."""
     out = []
 
@@ -774,7 +774,7 @@ def macaulay_resultant(forms, ambient_names):
         return MultiPoly(symbol_names, out)
 
     nu = sum(d - 1 for d in degrees) + 1
-    cols = _monomials_of_degree(nv, nu)
+    cols = monomials_of_degree(nv, nu)
     col_index = {m: i for i, m in enumerate(cols)}
 
     last_error = None

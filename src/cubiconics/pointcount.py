@@ -615,13 +615,9 @@ def homogenize(f: MultiPoly, names_affine=("T1", "T2", "T3")) -> MultiPoly:
 
 def points_on_lines(points, lines):
     """Subset of points lying on any of the given lines (exact)."""
-    out = set()
-    for rl in lines:
-        u, v = rl.line.u, rl.line.v
-        for p in points:
-            if u.evaluate(p) == 0 and v.evaluate(p) == 0:
-                out.add(p)
-    return out
+    pairs = [(rl.line.u, rl.line.v) for rl in lines]
+    return {p for p in points
+            if any(u.evaluate(p) == 0 and v.evaluate(p) == 0 for u, v in pairs)}
 
 
 def _fit_exponent(Bs, counts):

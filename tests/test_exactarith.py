@@ -4,11 +4,11 @@ import random
 import pytest
 
 from cubiconics.errors import BudgetError, DomainError
-from cubiconics.exactarith import (GFContext, bertrand_prime, factorize,
-                                   ff_factor_linear, mertens_check,
+from cubiconics.exactarith import (GFContext, bertrand_prime, eval_mod_p,
+                                   factorize, ff_factor_linear, mertens_check,
                                    prime_sum_over_divisors, primes_up_to,
-                                   theta_psi_phi)
-from cubiconics.multipoly import MultiPoly
+                                   proj_points, reduce_mod_p, theta_psi_phi)
+from cubiconics.multipoly import MultiPoly, monomials_of_degree
 
 
 def naive_primes(n):
@@ -117,12 +117,103 @@ def test_ff_factor_linear_extension_and_budget():
 
 
 def test_ff_factor_multiply_back():
-    # divisibility is certified by exact multiplication inside the search;
-    # re-check one instance by hand in GF(5)
+    # the search certifies divisibility by evaluation; multiply the factors
+    # it finds back together by hand in GF(5)
     names = ("T0", "T1", "T2")
     f = MultiPoly.parse("T0^2*T1 - T1^3", names)  # T1 (T0-T1) (T0+T1)
     factors, ctx = ff_factor_linear(f, 5, 1)
     assert len(factors) == 3
+    product = MultiPoly.constant(1, names)
+    for x in factors:
+        product = product * _linear_form(x.coeffs, names)
+    assert reduce_mod_p(product, 5) == reduce_mod_p(f, 5)
+
+
+def _linear_form(coeffs, names):
+    return MultiPoly(names, {tuple(int(j == i) for j in range(len(names))): c
+                             for i, c in enumerate(coeffs) if c})
+
+
+def _divides_mod_p(ell, f, p):
+    """Reference test over Q: substitute x_piv = -sum c_j x_j into f and
+    require every coefficient of the result to vanish mod p."""
+    piv = ell.index(1)
+    rest = _linear_form([0 if j == piv else c for j, c in enumerate(ell)], f.names)
+    g = f.substitute({f.names[piv]: -rest})
+    return all(c % p == 0 for c in g.terms.values())
+
+
+def _random_cubic(rng, names):
+    return MultiPoly(names, {e: rng.randint(-3, 3)
+                             for e in monomials_of_degree(len(names), 3)
+                             if rng.random() < 0.5})
+
+
+def _product_of_linear_forms(rng, names):
+    out = MultiPoly.constant(1, names)
+    for _ in range(3):
+        out = out * _linear_form([rng.randint(-2, 2) for _ in names], names)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ff_factor_linear_matches_substitution_over_q(p):
+    rng = random.Random(p)
+    for nvars in (2, 3, 4):
+        names = tuple(f"T{i}" for i in range(nvars))
+        for make in (_random_cubic, _random_cubic,
+                     _product_of_linear_forms, _product_of_linear_forms):
+            f = make(rng, names)
+            while not reduce_mod_p(f, p):
+                f = make(rng, names)
+            factors, _ = ff_factor_linear(f, p, 1)
+            want = [ell for ell in proj_points(p, nvars) if _divides_mod_p(ell, f, p)]
+            assert [x.coeffs for x in factors] == want, (str(f), p)
+
+
+def test_ff_factor_linear_grid_leaves_the_prime_field():
+    # x*y*(x+y) vanishes at every F_2-point of T2 = 0, yet T2 is no factor:
+    # a grid of F_2 values alone would accept it
+    names = ("T0", "T1", "T2")
+    f = MultiPoly.parse("T0^2*T1 + T0*T1^2", names)
+    assert all(eval_mod_p(reduce_mod_p(f, 2), (x, y, 0), 2) == 0
+               for x in (0, 1) for y in (0, 1))
+    factors, _ = ff_factor_linear(f, 2, 1)
+    assert [x.coeffs for x in factors] == [(1, 0, 0), (1, 1, 0), (0, 1, 0)]
+
+
+def test_ff_factor_linear_cubic_splitting_over_f8():
+    # x^3 + x + 1 is irreducible over F_2 and has its roots in F_8
+    names = ("T0", "T1", "T2")
+    f = MultiPoly.parse("T0^3 + T0*T1^2 + T1^3", names)
+    assert ff_factor_linear(f, 2, 1)[0] == []
+    assert ff_factor_linear(f, 2, 2)[0] == []
+    factors, _ = ff_factor_linear(f, 2, 3)
+    assert len(factors) == 3
+    assert all(x.coeffs[0] == 1 and x.coeffs[1] and x.coeffs[2] == 0 for x in factors)
+
+
+def test_ff_factor_linear_domain_errors():
+    B2 = ("T0", "T1")
+    with pytest.raises(DomainError):
+        ff_factor_linear(MultiPoly.parse("5*T0^2 + 5*T1^2", B2), 5, 1)
+    with pytest.raises(DomainError):
+        ff_factor_linear(MultiPoly.parse("1/3*T0^2 + T1^2", B2), 3, 1)
+    # degree 8 needs a grid of 9 values; GF(8) is the largest field of 2^E, E <= 3
+    with pytest.raises(DomainError):
+        ff_factor_linear(MultiPoly.parse("T0^8 + T1^8", B2), 2, 1)
+
+
+def test_reduce_and_evaluate_mod_p():
+    names = ("T0", "T1", "T2")
+    f = MultiPoly.parse("1/3*T0^2 + 2*T1 - 5*T2", names)
+    assert reduce_mod_p(f, 5) == {(2, 0, 0): 2, (0, 1, 0): 2}
+    with pytest.raises(DomainError):
+        reduce_mod_p(f, 3)
+    assert eval_mod_p(reduce_mod_p(f, 7), (1, 2, 3), 7) == (5 + 4 - 15) % 7
+    for q, nvars in ((2, 3), (4, 2), (5, 4)):
+        pts = list(proj_points(q, nvars))
+        assert len(pts) == len(set(pts)) == (q ** nvars - 1) // (q - 1)
 
 
 def test_gf_context_tables():
@@ -135,3 +226,4 @@ def test_gf_context_tables():
     for _ in range(50):
         a, b, c = (rng.randrange(q) for _ in range(3))
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+        assert ctx.add(a, ctx.neg(a)) == 0

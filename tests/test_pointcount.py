@@ -1,5 +1,5 @@
 import itertools
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -17,12 +17,19 @@ A3 = ("T1", "T2", "T3")
 
 
 def brute_projective(forms, names, B):
+    # each form as (coordinate indices, [(exponents, integer coefficient)]),
+    # denominators cleared, evaluated on plain ints below
+    int_forms = []
+    for f in forms:
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        idx = [names.index(n) for n in f.names]
+        int_forms.append((idx, [(e, int(c * den)) for e, c in f.terms.items()]))
     pts = set()
     for raw in itertools.product(range(-B, B + 1), repeat=len(names)):
         if all(v == 0 for v in raw):
             continue
-        sub = {n: v for n, v in zip(names, raw)}
-        if any(not f.substitute(sub).is_zero() for f in forms):
+        if any(sum(c * prod(raw[i] ** k for i, k in zip(idx, e)) for e, c in terms)
+               for idx, terms in int_forms):
             continue
         g = 0
         for v in raw:
