@@ -4,9 +4,11 @@ A plane through a rational line on a cubic surface cuts the surface in that
 line plus a residual conic; as the plane varies over the pencil the conic
 Cayley forms assemble into a family whose 21 coefficients are binary forms
 in the pencil parameters.  This module computes that family exactly, checks
-the structural facts it must satisfy (coefficient degree exactly 2, trivial
-family gcd, leading-part rank 2 or 3, image shape), and counts family
-members of bounded height with a certified cutoff.
+the structural facts it must satisfy (one common coefficient degree, trivial
+family gcd, image degree times covering degree equal to that degree),
+measures the coefficient degree (3 on every corpus surface) and the
+leading-part rank (4 there), and counts family members of bounded height
+with a certified cutoff.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .exactarith import eval_mod_p, ff_factor_linear, proj_points, reduce_mod_p
 from .multipoly import (MultiPoly, coefficients_in, embed, gcd_binary_forms,
                         monomials_of_degree, restrict, sylvester_resultant,
                         sylvester_rows)
+from .pointcount import CHUNK_FIBERS, _np_eval
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
@@ -97,30 +100,43 @@ def rationals_of_height(bound: int):
 
 
 def _rref_line_candidates(height_bound: int, budget: int):
-    """Row-reduced 2x4 hyperplane pairs with entries of height <= bound."""
+    """Row-reduced 2x4 hyperplane pairs with entries of height <= bound, as
+    int64 blocks of shape (N, 2, 4), N <= CHUNK_FIBERS, one pivot pair per
+    block.  Each row is the reduced row scaled by the lcm of its
+    denominators, so its pivot entry is that lcm.  The order is pivot pair,
+    then the first row's free entries, then the second row's, each running
+    over ``rationals_of_height``."""
     vals = rationals_of_height(height_bound)
-    total = 0
+    num = np.array([v.numerator for v in vals], dtype=np.int64)
+    den = np.array([v.denominator for v in vals], dtype=np.int64)
+    layouts = []
     for i, j in itertools.combinations(range(4), 2):
-        free1 = [c for c in range(4) if c > i and c != j]
-        free2 = [c for c in range(4) if c > j]
-        combos = len(vals) ** (len(free1) + len(free2))
-        total += combos
-        if total > budget:
-            raise BudgetError(f"line search would try > {budget} candidates")
-    for i, j in itertools.combinations(range(4), 2):
-        free1 = [c for c in range(4) if c > i and c != j]
-        free2 = [c for c in range(4) if c > j]
-        for a in itertools.product(vals, repeat=len(free1)):
-            row1 = [Fraction(0)] * 4
-            row1[i] = Fraction(1)
-            for c, x in zip(free1, a):
-                row1[c] = x
-            for b in itertools.product(vals, repeat=len(free2)):
-                row2 = [Fraction(0)] * 4
-                row2[j] = Fraction(1)
-                for c, x in zip(free2, b):
-                    row2[c] = x
-                yield row1, row2
+        free = ([(0, c) for c in range(4) if c > i and c != j]
+                + [(1, c) for c in range(4) if c > j])
+        layouts.append((i, j, free, len(vals) ** len(free)))
+    if sum(n for *_, n in layouts) > budget:
+        raise BudgetError(f"line search would try > {budget} candidates")
+    for i, j, free, total in layouts:
+        for start in range(0, total, CHUNK_FIBERS):
+            idx = np.arange(start, min(total, start + CHUNK_FIBERS))
+            digits = np.unravel_index(idx, (len(vals),) * len(free)) if free else ()
+            scale = np.ones((len(idx), 2), dtype=np.int64)
+            for (r, _), d in zip(free, digits):
+                scale[:, r] = np.lcm(scale[:, r], den[d])
+            rows = np.zeros((len(idx), 2, 4), dtype=np.int64)
+            rows[:, 0, i], rows[:, 1, j] = scale[:, 0], scale[:, 1]
+            for (r, c), d in zip(free, digits):
+                rows[:, r, c] = num[d] * (scale[:, r] // den[d])
+            yield rows
+
+
+def _fraction_rows(rows):
+    """The row-reduced Fraction rows of one integer-scaled candidate."""
+    out = []
+    for row in rows.tolist():
+        lead = next(x for x in row if x)
+        out.append([Fraction(x, lead) for x in row])
+    return out
 
 
 def _form_from_row(row):
@@ -128,49 +144,52 @@ def _form_from_row(row):
                           for m, c in enumerate(row) if c != 0})
 
 
-def _line_spanning_points(row1, row2):
-    """Two integer points spanning the line cut out by two independent rows.
+def line_in_forms(cands, forms):
+    """Exact ideal membership of every form in (l1, l2), for each candidate
+    of an (N, 2, 4) block of integer-scaled row-reduced pairs; a boolean
+    array of length N.
 
-    For each omitted column, the cross product of the rows' other three
-    entries, with 0 in the omitted slot, lies in the kernel; together these
-    vectors span it, so the first nonzero one and the first one independent
-    of it are taken.
+    For a free column f of a candidate with pivots i < j and pivot entries
+    d1, d2, the vector d1*d2*e_f - d2*row1[f]*e_i - d1*row2[f]*e_j is an
+    integer point of the line; the two free columns give P and Q spanning
+    it.  A form of degree d restricts to a binary form of degree d on the
+    line, and vanishing at the d + 1 distinct points P + mQ, m = 0..d,
+    proves the restriction zero, which is ideal membership.  Each
+    homogeneous part is tested apart, with its denominators cleared, by the
+    int64-guarded ``_np_eval``.  A zero form passes.  Entries below 2^28
+    keep P + mQ below 2^63 for every m < 64.
     """
-    a, b = linalg._integer_rows([row1, row2])[0]
+    cands = np.asarray(cands, dtype=np.int64)
+    if cands.size and int(np.abs(cands).max()) >= 1 << 28:
+        raise DomainError("candidate rows too large for int64 spanning points")
+    n = len(cands)
+    at = np.arange(n)
+    piv = (cands != 0).argmax(axis=2)                       # (N, 2)
+    d1, d2 = cands[at, 0, piv[:, 0]], cands[at, 1, piv[:, 1]]
+    cols = np.arange(4)
+    free = np.nonzero((cols != piv[:, :1]) & (cols != piv[:, 1:]))[1].reshape(n, 2)
     span = []
-    for k in range(4):
-        i, j, l = (c for c in range(4) if c != k)
-        w = [0] * 4
-        w[i] = a[j] * b[l] - a[l] * b[j]
-        w[j] = a[l] * b[i] - a[i] * b[l]
-        w[l] = a[i] * b[j] - a[j] * b[i]
-        if not any(w):
-            continue
-        if span and not any(span[0][r] * w[s] != span[0][s] * w[r]
-                            for r, s in itertools.combinations(range(4), 2)):
-            continue
-        span.append(w)
-        if len(span) == 2:
-            return span
-    raise DomainError("rows do not cut out a line")
-
-
-def line_in_forms(row1, row2, forms) -> bool:
-    """Exact ideal membership of every form in (l1, l2).
-
-    With P, Q spanning the line, a form of degree d restricts to a binary
-    form of degree d on it; vanishing at the d + 1 distinct points P + mQ,
-    m = 0..d, proves the restriction zero, which is ideal membership.  An
-    inhomogeneous form is tested one homogeneous part at a time.
-    """
-    P, Q = _line_spanning_points(row1, row2)
-    for f in forms:
-        parts = [f] if f.is_homogeneous() else f.split_by_degree(f.names).values()
-        for g in parts:
+    for k in range(2):
+        f = free[:, k]
+        v = np.zeros((n, 4), dtype=np.int64)
+        v[at, f] = d1 * d2
+        v[at, piv[:, 0]] = -d2 * cands[at, 0, f]
+        v[at, piv[:, 1]] = -d1 * cands[at, 1, f]
+        span.append(v)
+    P, Q = span
+    alive = at
+    for form in forms:
+        for g in form.split_by_degree(form.names).values():
+            _, g = g.rational_content()
             for m in range(g.total_degree() + 1):
-                if g.evaluate([p + m * q for p, q in zip(P, Q)]) != 0:
-                    return False
-    return True
+                if not len(alive):
+                    break
+                pts = P[alive] + m * Q[alive]
+                vals = _np_eval(g, {name: pts[:, k] for k, name in enumerate(g.names)})
+                alive = alive[vals == 0]
+    hit = np.zeros(n, dtype=bool)
+    hit[alive] = True
+    return hit
 
 
 def find_lines(surface: CubicSurface, height_bound: int = 1,
@@ -179,15 +198,15 @@ def find_lines(surface: CubicSurface, height_bound: int = 1,
     of height <= height_bound, with exact ideal-membership certificates."""
     f = surface.f
     seen = {}
-    for row1, row2 in _rref_line_candidates(height_bound, budget):
-        if not line_in_forms(row1, row2, [f]):
-            continue
-        l1, l2 = _form_from_row(row1), _form_from_row(row2)
-        line = LineP3.make(l1, l2)
-        if line.plucker in seen:
-            continue
-        A, B = cofactor_pair(f, line.u, line.v)
-        seen[line.plucker] = RationalLine(line, A, B)
+    for block in _rref_line_candidates(height_bound, budget):
+        for rows in block[line_in_forms(block, [f])]:
+            row1, row2 = _fraction_rows(rows)
+            l1, l2 = _form_from_row(row1), _form_from_row(row2)
+            line = LineP3.make(l1, l2)
+            if line.plucker in seen:
+                continue
+            A, B = cofactor_pair(f, line.u, line.v)
+            seen[line.plucker] = RationalLine(line, A, B)
     return list(seen.values())
 
 
@@ -241,9 +260,9 @@ def classify_cubic(f: MultiPoly, primes=SMOOTHNESS_PRIMES,
     singular_lines = []
     if certified_smooth is None:
         partials = [f.partial(n) for n in T4]
-        for row1, row2 in _rref_line_candidates(singular_line_height, DEFAULT_LINE_BUDGET):
-            if line_in_forms(row1, row2, partials + [f]):
-                singular_lines.append((tuple(row1), tuple(row2)))
+        for block in _rref_line_candidates(singular_line_height, DEFAULT_LINE_BUDGET):
+            for rows in block[line_in_forms(block, partials + [f])]:
+                singular_lines.append(tuple(map(tuple, _fraction_rows(rows))))
 
     if certified_smooth is not None:
         non_ruled = "certified"
@@ -587,12 +606,15 @@ def _int_binary_forms(pencil: ConicPencil):
     return [[int(c * den) for c in row] for row in rows], d
 
 
-def _eval_row(row, t1: int, t2: int, d: int) -> int:
-    tot = 0
-    for i, c in enumerate(row):
-        if c:
-            tot += c * t1 ** (d - i) * t2 ** i
-    return tot
+def _height_at(rows, d: int, t1: int, t2: int) -> int:
+    """Naive height of the member with integer coefficient rows ``rows``
+    (from ``_int_binary_forms``) at primitive integer (t1, t2)."""
+    pw = [t1 ** (d - i) * t2 ** i for i in range(d + 1)]
+    vals = [sum(c * w for c, w in zip(r, pw)) for r in rows]
+    g = gcd(*vals)
+    if g == 0:
+        raise PropertyViolationError(f"family vanishes at t = ({t1}, {t2})")
+    return max(map(abs, vals)) // g
 
 
 def census_cutoff_constant(pencil: ConicPencil):
@@ -638,14 +660,7 @@ def _bezout_cutoff(r1, r2, d: int):
 
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:
     """Naive height of the family member at primitive integer (t1, t2)."""
-    rows, d = _int_binary_forms(pencil)
-    vals = [_eval_row(r, t1, t2, d) for r in rows]
-    g = 0
-    for v in vals:
-        g = gcd(g, abs(v))
-    if g == 0:
-        raise PropertyViolationError(f"family vanishes at t = ({t1}, {t2})")
-    return max(abs(v) for v in vals) // g
+    return _height_at(*_int_binary_forms(pencil), t1, t2)
 
 
 def _primitive_pairs(m_max: int):
@@ -678,13 +693,7 @@ def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
     count = 0
     samples = []
     for t1, t2 in _primitive_pairs(m_max):
-        vals = [_eval_row(r, t1, t2, d) for r in rows]
-        g = 0
-        for v in vals:
-            g = gcd(g, abs(v))
-        if g == 0:
-            raise PropertyViolationError(f"family vanishes at ({t1}, {t2})")
-        H = max(abs(v) for v in vals) // g
+        H = _height_at(rows, d, t1, t2)
         if H <= B:
             count += 1
             if len(samples) < 12:
@@ -720,10 +729,11 @@ def height_pairing_check(pencil: ConicPencil, n_samples: int = 200,
         if t1 < 0 or (t1 == 0 and t2 < 0):
             t1, t2 = -t1, -t2
         pts.add((t1, t2))
+    rows, d = _int_binary_forms(pencil)
     xs, ys, hs = [], [], []
     res_max = 0.0
     for t1, t2 in sorted(pts):
-        H = specialized_height(pencil, t1, t2)
+        H = _height_at(rows, d, t1, t2)
         ht = math.log(max(abs(t1), abs(t2)))
         resid = math.log(H) - 2 * ht
         xs.append(ht)

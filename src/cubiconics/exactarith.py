@@ -10,6 +10,7 @@ consume.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -196,7 +197,9 @@ class GFContext:
         digits = [self._decode(a) for a in range(self.q)]
         self._add = [[self._encode([x + y for x, y in zip(a, b)]) for b in digits]
                      for a in digits]
-        self._mul = [[self._poly_mul_mod(a, b) for b in digits] for a in digits]
+        self._mul = [[0] * self.q for _ in range(self.q)]
+        for a, b in itertools.combinations_with_replacement(range(self.q), 2):
+            self._mul[a][b] = self._mul[b][a] = self._poly_mul_mod(digits[a], digits[b])
         self._neg = [row.index(0) for row in self._add]
         self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
@@ -266,6 +269,13 @@ class GFContext:
                 head = "" if c == 1 else f"{c}*"
                 bits.append(f"{head}g" + (f"^{i}" if i > 1 else ""))
         return " + ".join(bits) if bits else "0"
+
+
+@functools.lru_cache(maxsize=16)
+def gf_context(p: int, e: int) -> GFContext:
+    """The shared GFContext of GF(p^e); its tables are read-only.  The
+    cache is bounded because a context holds two q x q tables."""
+    return GFContext(p, e)
 
 
 def reduce_mod_p(f: MultiPoly, p: int) -> dict:
@@ -341,7 +351,7 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
     if work > budget:
         raise BudgetError(
             f"p^(e*nvars) = {work} exceeds budget {budget}", partial=None)
-    ctx = GFContext(p, e)
+    ctx = gf_context(p, e)
     red = reduce_mod_p(f, p)
     if not red:
         raise DomainError("form vanishes identically mod p")
@@ -349,7 +359,7 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
     E = next((E for E in range(e, 4, e) if p ** E > d), None)
     if E is None:
         raise DomainError(f"no field GF({p}^E), E <= 3, has more than {d} elements")
-    grid_ctx = ctx if E == e else GFContext(p, E)
+    grid_ctx = gf_context(p, E)
     add, mul, neg = grid_ctx._add, grid_ctx._mul, grid_ctx._neg
     # descending, so the origin (a zero of every form without a constant
     # term) comes last

@@ -13,6 +13,7 @@ polynomials that the rest of the library consumes.
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,6 +23,11 @@ from .linalg import det, exact_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _heap_entry(exps):
+    """Min-heap entry whose order is the reverse of graded-lex order."""
+    return (-sum(exps), tuple(-x for x in exps)), exps
 
 
 def _as_fraction(c) -> Fraction:
@@ -234,7 +240,15 @@ class MultiPoly:
 
     def exact_divide(self, g: "MultiPoly") -> "MultiPoly":
         """Exact quotient self/g; raises NonDivisibleError (with the remainder
-        reached) when g does not divide self."""
+        reached) when g does not divide self.
+
+        The leading remainder term comes from a max-heap of exponents in
+        graded-lex order (Monagan and Pearce, CASC 2007).  A cancelled term
+        stays in the heap and is skipped when popped.  Every term a step adds
+        lies below the term it cancels, so an exponent, once popped, never
+        returns, and the terms are processed in the order a full scan for
+        the largest one would take.
+        """
         self._check_ring(g)
         if g.is_zero():
             raise DomainError("division by zero polynomial")
@@ -243,8 +257,12 @@ class MultiPoly:
         ge, gc = g.leading_term()
         q = {}
         r = dict(self.terms)
+        heap = [_heap_entry(e) for e in r]
+        heapq.heapify(heap)
         while r:
-            re = max(r, key=self._glex_key)
+            _, re = heapq.heappop(heap)
+            if re not in r:
+                continue  # cancelled after it was pushed
             rc = r[re]
             te = tuple(a - b for a, b in zip(re, ge))
             if any(x < 0 for x in te):
@@ -254,11 +272,14 @@ class MultiPoly:
             q[te] = q.get(te, _ZERO) + tc
             for e2, c2 in g.terms.items():
                 e = tuple(x + y for x, y in zip(te, e2))
-                s = r.get(e, _ZERO) - tc * c2
-                if s == 0:
-                    r.pop(e, None)
+                c, t = r.get(e), tc * c2
+                if c is None:
+                    r[e] = -t
+                    heapq.heappush(heap, _heap_entry(e))
+                elif c == t:
+                    del r[e]
                 else:
-                    r[e] = s
+                    r[e] = c - t
         return MultiPoly(self.names, q)
 
     def divides(self, f: "MultiPoly") -> bool:

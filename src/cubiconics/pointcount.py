@@ -52,8 +52,12 @@ def _np_eval(poly: MultiPoly, arrays: dict):
 
     When sum |c| * X^deg over the terms, X the largest entry magnitude,
     reaches 2^62, a term or a partial sum could wrap in int64, so the
-    evaluation runs on Python integers (object arrays) instead.
+    evaluation runs on Python integers (object arrays) instead.  A
+    coefficient that is not an integer raises DomainError: clear the
+    denominators first.
     """
+    if any(c.denominator != 1 for c in poly.terms.values()):
+        raise DomainError(f"non-integer coefficient in {poly}")
     shape = next(iter(arrays.values())).shape
     X = max((max(-int(a.min()), int(a.max())) for a in arrays.values() if a.size),
             default=0)
@@ -322,6 +326,7 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
     for f in forms:
         if f.is_zero():
             raise DomainError("zero form in the system")
+    forms = [f.rational_content()[1] for f in forms]
     Bi = int(math.floor(B))
     B2 = int(math.floor(B * B))
     var = names[-1]
@@ -615,9 +620,15 @@ def homogenize(f: MultiPoly, names_affine=("T1", "T2", "T3")) -> MultiPoly:
 
 def points_on_lines(points, lines):
     """Subset of points lying on any of the given lines (exact)."""
-    pairs = [(rl.line.u, rl.line.v) for rl in lines]
-    return {p for p in points
-            if any(u.evaluate(p) == 0 and v.evaluate(p) == 0 for u, v in pairs)}
+    points = list(points)
+    if not points or not lines:
+        return set()
+    arrays = dict(zip(T4, np.array(points, dtype=np.int64).T))
+    on = np.zeros(len(points), dtype=bool)
+    for rl in lines:
+        u, v = (g.rational_content()[1] for g in (rl.line.u, rl.line.v))
+        on |= (_np_eval(u, arrays) == 0) & (_np_eval(v, arrays) == 0)
+    return {p for p, hit in zip(points, on.tolist()) if hit}
 
 
 def _fit_exponent(Bs, counts):

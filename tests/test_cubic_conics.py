@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
+from cubiconics import cubic_conics
 from cubiconics.cayley import T4, TPAR, cayley_plane_curve
 from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
                                      absolutely_irreducible_cubic_mod_p,
@@ -14,7 +16,7 @@ from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
                                      height_pairing_check, leading_family,
                                      line_in_forms, residual_conic,
                                      specialized_height)
-from cubiconics.errors import DomainError
+from cubiconics.errors import BudgetError, DomainError
 from cubiconics.multipoly import MultiPoly, gcd_binary_forms
 
 P3C = ("T0", "T1", "T2")
@@ -38,21 +40,32 @@ def test_found_count_below_27(corpus_forms):
         assert len(find_lines(surf, 1)) <= 27
 
 
-def line_in_forms_by_substitution(row1, row2, forms):
-    """Reference ideal-membership test: solve each row for its pivot
-    variable and substitute the solutions into every form."""
-    for row in (row1, row2):
+def line_in_forms_by_substitution(rows, forms):
+    """Reference ideal-membership test: solve each integer-scaled row for
+    its pivot variable and substitute the solutions into every form."""
+    for row in rows.tolist():
         piv = next(k for k, c in enumerate(row) if c != 0)
         expr = MultiPoly.zero(T4)
         for c in range(4):
             if c != piv and row[c] != 0:
-                expr = expr - (row[c] / row[piv]) * MultiPoly.variable(T4[c], T4)
+                expr = expr - Fraction(row[c], row[piv]) * MultiPoly.variable(T4[c], T4)
         forms = [f.substitute({T4[piv]: expr}) for f in forms]
     return all(f.is_zero() for f in forms)
 
 
+def assert_matches_substitution(forms, height):
+    hits = 0
+    for block in _rref_line_candidates(height, 10_000):
+        got = line_in_forms(block, forms)
+        assert got.shape == (len(block),)
+        for rows, g in zip(block, got.tolist()):
+            assert g == line_in_forms_by_substitution(rows, forms), rows.tolist()
+        hits += int(got.sum())
+    return hits
+
+
 @pytest.mark.parametrize("case", ["fermat", "corpus_02", "corpus_06", "skew", "cone",
-                                  "inhomogeneous"])
+                                  "inhomogeneous", "fractional"])
 def test_line_in_forms_matches_substitution(case, corpus_forms):
     f = {"fermat": MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3", T4),
          "corpus_02": corpus_forms[1],  # no line of height 1
@@ -61,28 +74,49 @@ def test_line_in_forms_matches_substitution(case, corpus_forms):
          "cone": MultiPoly.parse("T0^3 + T1^3 - T0*T1*T2", T4),
          # tested one homogeneous part at a time; one Fermat line survives
          "inhomogeneous": MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3 + T0*T2 + T1*T2",
-                                          T4)}[case]
+                                          T4),
+         # denominators are cleared before the int64 evaluation
+         "fractional": MultiPoly.parse("1/2*T0^3 + 1/2*T1^3 + 2/3*T2^3 + 2/3*T3^3",
+                                       T4)}[case]
     # the singular-line search of classify_cubic asks for [partials..., f];
     # the cone's T3 partial is the zero form
     forms = [f.partial(n) for n in T4] + [f] if case in ("skew", "cone") else [f]
-    hits = 0
-    for row1, row2 in _rref_line_candidates(1, 10_000):
-        got = line_in_forms(row1, row2, forms)
-        assert got == line_in_forms_by_substitution(row1, row2, forms), (row1, row2)
-        hits += got
+    hits = assert_matches_substitution(forms, 1)
     assert (hits > 0) == (case != "corpus_02")
+
+
+def test_line_in_forms_height_2_corpus(corpus_forms):
+    # every one of the 2,850 candidates of height 2, whose rows carry
+    # denominators 2 and so pivot entries up to 4
+    assert assert_matches_substitution([corpus_forms[5]], 2) > 0
 
 
 def test_line_in_forms_needs_degree_plus_one_zeros():
     # on the line T0 = T1 = 0, cubics with three zeros are not in the ideal
-    one, zero = Fraction(1), Fraction(0)
-    row1, row2 = [one, zero, zero, zero], [zero, one, zero, zero]
+    block = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]]], dtype=np.int64)
     for x, y in (("T2", "T3"), ("T3", "T2")):
         X, Y = MultiPoly.variable(x, T4), MultiPoly.variable(y, T4)
         for a, b in itertools.combinations(range(-3, 4), 2):
             g = X * (X - a * Y) * (X - b * Y)
-            assert not line_in_forms(row1, row2, [g])
-            assert line_in_forms(row1, row2, [g * MultiPoly.variable("T0", T4)])
+            assert not line_in_forms(block, [g])[0]
+            assert line_in_forms(block, [g * MultiPoly.variable("T0", T4)])[0]
+    # rows that could wrap int64 in the spanning points are refused
+    with pytest.raises(DomainError):
+        line_in_forms(block << 28, [g])
+
+
+def test_line_candidates_blocks():
+    blocks = list(_rref_line_candidates(2, 10_000))
+    # one block per pivot pair: 7 values of height <= 2 in 4, 3, 2, 2, 1, 0 slots
+    assert [b.shape for b in blocks] == [(7 ** k, 2, 4) for k in (4, 3, 2, 2, 1, 0)]
+    with pytest.raises(BudgetError):
+        next(_rref_line_candidates(2, 2849))
+    # smaller blocks cut the same candidates, in the same order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubic_conics, "CHUNK_FIBERS", 100)
+        small = list(_rref_line_candidates(2, 10_000))
+    assert max(len(b) for b in small) == 100
+    assert np.array_equal(np.concatenate(small), np.concatenate(blocks))
 
 
 def test_classify_fermat(fermat_surface):

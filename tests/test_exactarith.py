@@ -5,7 +5,8 @@ import pytest
 
 from cubiconics.errors import BudgetError, DomainError
 from cubiconics.exactarith import (GFContext, bertrand_prime, eval_mod_p,
-                                   factorize, ff_factor_linear, mertens_check,
+                                   factorize, ff_factor_linear, gf_context,
+                                   mertens_check,
                                    prime_sum_over_divisors, primes_up_to,
                                    proj_points, reduce_mod_p, theta_psi_phi)
 from cubiconics.multipoly import MultiPoly, monomials_of_degree
@@ -227,3 +228,21 @@ def test_gf_context_tables():
         a, b, c = (rng.randrange(q) for _ in range(3))
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
         assert ctx.add(a, ctx.neg(a)) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_gf_context_cached_tables(p, e):
+    ctx = gf_context(p, e)
+    assert gf_context(p, e) is ctx
+    _, ctx_from_search = ff_factor_linear(MultiPoly.parse("T0 + T1", ("T0", "T1")), p, e)
+    assert ctx_from_search is ctx
+    fresh = GFContext(p, e)
+    assert (ctx._add, ctx._mul, ctx._neg, ctx._inv) == \
+        (fresh._add, fresh._mul, fresh._neg, fresh._inv)
+    # against digit arithmetic done here, for both orders of every pair
+    for a in range(ctx.q):
+        for b in range(ctx.q):
+            da, db = ctx._decode(a), ctx._decode(b)
+            assert ctx.add(a, b) == ctx._encode([x + y for x, y in zip(da, db)])
+            assert ctx.mul(a, b) == ctx._poly_mul_mod(da, db)

@@ -250,3 +250,52 @@ def test_evaluate_examples():
         f.evaluate((1, 2, 3))
     with pytest.raises(DomainError):
         f.evaluate((1.0, 2, 3, 4))
+
+
+def divide_by_max(f, g):
+    """Reference division: the leading remainder term is found by a scan
+    with ``max`` over the whole remainder.  Returns (quotient, None) or
+    (None, remainder at the first leading-term obstruction)."""
+    key = lambda e: (sum(e), e)
+    ge = max(g.terms, key=key)
+    q, r = {}, dict(f.terms)
+    while r:
+        re = max(r, key=key)
+        te = tuple(a - b for a, b in zip(re, ge))
+        if min(te) < 0:
+            return None, MultiPoly(f.names, r)
+        tc = r[re] / g.terms[ge]
+        q[te] = q.get(te, 0) + tc
+        for e2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(te, e2))
+            r[e] = r.get(e, 0) - tc * c2
+            if r[e] == 0:
+                del r[e]
+    return MultiPoly(f.names, q), None
+
+
+@st.composite
+def division_pair(draw):
+    nv = draw(st.integers(1, 3))
+    names = T[:nv]
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    poly = st.dictionaries(exps, small, min_size=1, max_size=6).map(
+        lambda t: MultiPoly(names, t))
+    g = draw(poly.filter(lambda p: not p.is_zero()))
+    q = draw(poly)
+    noise = draw(st.one_of(st.just(MultiPoly.zero(names)), poly))
+    return q * g + noise, g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(division_pair())
+def test_exact_divide_matches_max_scan(case):
+    f, g = case
+    want_q, want_r = divide_by_max(f, g)
+    if want_r is None:
+        assert f.exact_divide(g) == want_q
+    else:
+        with pytest.raises(NonDivisibleError) as ei:
+            f.exact_divide(g)
+        assert ei.value.remainder == want_r

@@ -1,6 +1,7 @@
 import itertools
 from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
 
 from cubiconics.cayley import T4
@@ -10,7 +11,8 @@ from cubiconics.multipoly import MultiPoly
 from cubiconics.pointcount import (conic_points, enumerate_affine,
                                    enumerate_projective, homogenize,
                                    integral_conics_experiment,
-                                   points_on_conics_experiment)
+                                   points_on_conics_experiment,
+                                   points_on_lines, _np_eval)
 
 P2 = ("T0", "T1", "T2")
 A3 = ("T1", "T2", "T3")
@@ -123,6 +125,40 @@ def test_affine_examples():
     # B = 0: only the origin when it solves the system
     r3 = enumerate_affine([line], ("T1", "T2"), 0)
     assert set(r3.points) == {(0, 0)}
+
+
+def test_affine_fraction_coefficients():
+    # forms with denominators are made integral before the int64 evaluation
+    names = ("T1", "T2")
+    for text in ("3/2*T1 - T2", "1/2*T1^2 + 1/2*T2^2 - 25/2"):
+        f = MultiPoly.parse(text, names)
+        want = {p for p in itertools.product(range(-6, 7), repeat=2)
+                if f.evaluate(p) == 0}
+        r = enumerate_affine([f], names, 6, norm="max")
+        assert r.complete and set(r.points) == want and r.count == len(want) > 0
+    assert len(want) == 12
+    with pytest.raises(DomainError):
+        _np_eval(MultiPoly.parse("1/2*T1", names),
+                 {n: np.arange(3, dtype=np.int64) for n in names})
+
+
+def test_points_on_lines_matches_scalar_check(fermat_surface):
+    from cubiconics.cayley import LineP3
+    from cubiconics.cubic_conics import RationalLine, cofactor_pair
+    lines = find_lines(fermat_surface, 1)
+    # the same line as T0 + T1 = T2 + T3 = 0, written with denominators
+    u = MultiPoly.parse("1/2*T0 + 1/2*T1", T4)
+    v = MultiPoly.parse("2/3*T2 + 2/3*T3 + 1/5*T0 + 1/5*T1", T4)
+    A, B = cofactor_pair(fermat_surface.f, u, v)
+    lines.append(RationalLine(LineP3.make(u, v), A, B))
+    pts = enumerate_projective([fermat_surface.f], T4, 12).points
+    want = {p for p in pts if any(rl.line.u.evaluate(p) == 0 and
+                                  rl.line.v.evaluate(p) == 0 for rl in lines)}
+    assert points_on_lines(pts, lines) == want
+    same = [rl for rl in lines if rl.line.plucker == lines[-1].line.plucker]
+    assert len(same) == 2
+    assert points_on_lines(pts, same[:1]) == points_on_lines(pts, same[1:]) != set()
+    assert points_on_lines([], lines) == points_on_lines(pts, []) == set()
 
 
 def test_affine_trivial_bound():
