@@ -6,11 +6,15 @@ is the max coordinate magnitude.  Affine (integral) points live in the
 euclidean ball.  Enumeration fixes all coordinates but one and solves the
 remaining univariate equation: float root isolation (vectorized Cardano)
 proposes candidates, exact integer arithmetic verifies them, so results are
-exact while the scan stays fast.
+exact while the scan stays fast.  The projective scan needs homogeneous
+forms: it covers only the half of the prefix box whose first nonzero entry
+is positive, so each point class is hit once, and it keeps the primitive
+rows and fixes their sign in numpy, chunk by chunk.
 """
 
 from __future__ import annotations
 
+import itertools as it
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -19,6 +23,7 @@ import numpy as np
 
 from .cayley import T4
 from .errors import BudgetError, DomainError
+from .heights import normalize_primitive_vector
 from .hilbert_samuel import (ExternalConstants, _det3, bound_evaluator,
                              bound_exponent, gram_matrix_doubled)
 from .linalg import solve
@@ -82,13 +87,10 @@ def _coeff_polys(form: MultiPoly, var: str):
     """Coefficients of the form as a polynomial in ``var`` (list by power)."""
     i = form.names.index(var)
     d = max((e[i] for e in form.terms), default=0)
-    coeffs = [MultiPoly.zero(form.names) for _ in range(d + 1)]
+    terms = [{} for _ in range(d + 1)]
     for e, c in form.terms.items():
-        e2 = list(e)
-        k = e2[i]
-        e2[i] = 0
-        coeffs[k] = coeffs[k] + MultiPoly(form.names, {tuple(e2): c})
-    return coeffs
+        terms[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    return [MultiPoly(form.names, t) for t in terms]
 
 
 def _cubic_real_roots(c3, c2, c1, c0):
@@ -144,16 +146,31 @@ def _quadratic_real_roots(c2, c1, c0):
     return [r1, r2]
 
 
-def _solve_fibers(forms, names, var, prefix_arrays, xcap):
+def _solve_form_coeffs(forms, var):
+    """Coefficients in ``var`` of the form of least degree in ``var``: the
+    equation each fiber solves.  None for the empty system."""
+    if not forms:
+        return None
+    return _coeff_polys(min(forms, key=lambda f: f.degree_in([var])), var)
+
+
+def _vanish(forms, arrays):
+    """Boolean mask of the entries where every form evaluates to 0 exactly."""
+    ok = np.ones(len(next(iter(arrays.values()))), dtype=bool)
+    for f in forms:
+        ok &= _np_eval(f, arrays) == 0
+    return ok
+
+
+def _solve_fibers(coeffs, forms, var, prefix_arrays, xcap):
     """All integer values x of ``var`` with |x| <= xcap solving every form on
-    the given prefix fibers.  Returns (fiber_index_array, x_array) plus the
-    list of fibers where every equation is identically zero."""
-    solve_form = min(forms, key=lambda f: f.degree_in([var]))
-    coeffs = [_np_eval(cp, prefix_arrays) for cp in _coeff_polys(solve_form, var)]
+    the given prefix fibers, where ``coeffs`` come from _solve_form_coeffs.
+    Returns (fiber_index_array, x_array) plus the fibers where the solve
+    form vanishes identically; an x may repeat within a fiber."""
+    coeffs = [_np_eval(cp, prefix_arrays) for cp in coeffs]
     while len(coeffs) < 4:
         coeffs.append(np.zeros_like(coeffs[0]))
     c0, c1, c2, c3 = coeffs[:4]
-    n = c0.shape[0]
     cand_fibers = []
     cand_x = []
 
@@ -200,114 +217,114 @@ def _solve_fibers(forms, names, var, prefix_arrays, xcap):
     if len(fib):
         arrays = {k: v[fib] for k, v in prefix_arrays.items()}
         arrays[var] = xs
-        ok = np.ones(len(fib), dtype=bool)
-        for f in forms:
-            ok &= _np_eval(f, arrays) == 0
+        ok = _vanish(forms, arrays)
         fib, xs = fib[ok], xs[ok]
     return fib, xs, identically_zero
 
 
-def _canon_projective(pt):
-    g = 0
-    for v in pt:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return None
-    pt = tuple(v // g for v in pt)
-    lead = next(v for v in pt if v != 0)
-    if lead < 0:
-        pt = tuple(-v for v in pt)
-    return pt
+def _fiber_points(forms, coeffs, names, var, prefix, xcap):
+    """Every integer solution with |var| <= xcap over the prefix fibers, as
+    rows in ``names`` order plus the fiber index of each row.  Each row is
+    verified exactly on every form; a row may repeat."""
+    n = len(next(iter(prefix.values())))
+    if coeffs is None:
+        fib = xs = np.empty(0, dtype=np.int64)
+        ident = np.arange(n)
+    else:
+        fib, xs, ident = _solve_fibers(coeffs, forms, var, prefix, xcap)
+    # fibers where the solve form vanishes identically: try every x, in
+    # batches of at most CHUNK_FIBERS (fiber, x) pairs
+    xr = np.arange(-xcap, xcap + 1, dtype=np.int64)
+    step = max(1, CHUNK_FIBERS // len(xr))
+    fibs, xss = [fib], [xs]
+    for s in range(0, len(ident), step):
+        f = np.repeat(ident[s:s + step], len(xr))
+        x = np.tile(xr, len(f) // len(xr))
+        arrays = {k: v[f] for k, v in prefix.items()}
+        arrays[var] = x
+        ok = _vanish(forms, arrays)
+        fibs.append(f[ok])
+        xss.append(x[ok])
+    fib, xs = np.concatenate(fibs), np.concatenate(xss)
+    rows = np.empty((len(fib), len(names)), dtype=np.int64)
+    for j, name in enumerate(names):
+        rows[:, j] = xs if name == var else prefix[name][fib]
+    return rows, fib
 
 
-def _prefix_chunks(nvars: int, B: int):
-    """Yield dicts of index-keyed int64 arrays covering [-B, B]^nvars without
-    materializing the full grid: outer coordinates are looped in Python when
-    the grid would be large."""
+def _lead_sign(rows):
+    """Sign of the first nonzero entry of each row of a 2-d array (0 for a
+    zero row)."""
+    first = np.argmax(rows != 0, axis=1)
+    return np.sign(rows[np.arange(len(rows)), first])
+
+
+def _prefix_chunks(nvars: int, B: int, half: bool = False):
+    """Yield lists of int64 arrays, one per coordinate, covering [-B, B]^nvars
+    without materializing the full grid: outer coordinates are looped in
+    Python when the grid would be large.  With ``half`` only the nonzero
+    vectors whose first nonzero coordinate is positive are covered."""
+    if half and nvars == 0:
+        return
     rng = np.arange(-B, B + 1, dtype=np.int64)
     width = 2 * B + 1
     inner = nvars
     while inner > 1 and width ** inner > CHUNK_FIBERS:
         inner -= 1
     outer = nvars - inner
-    inner_grids = np.meshgrid(*([rng] * inner), indexing="ij") if inner else []
-    inner_flat = [g.ravel() for g in inner_grids]
+    inner_flat = [g.ravel() for g in np.meshgrid(*([rng] * inner), indexing="ij")]
     size = inner_flat[0].size if inner_flat else 1
-    if outer == 0:
-        yield {i: inner_flat[i] for i in range(inner)}
-        return
-    import itertools as it
+    if half:
+        inner_half = _lead_sign(np.stack(inner_flat, axis=1)) > 0
     for combo in it.product(rng.tolist(), repeat=outer):
-        chunk = {}
-        for j, val in enumerate(combo):
-            chunk[j] = np.full(size, val, dtype=np.int64)
-        for i in range(inner):
-            chunk[outer + i] = inner_flat[i]
+        lead = next((v for v in combo if v), 0)
+        if half and lead < 0:
+            continue
+        chunk = [np.full(size, v, dtype=np.int64) for v in combo] + inner_flat
+        if half and lead == 0:
+            chunk = [a[inner_half] for a in chunk]
         yield chunk
-
-
-def _verify_point_exact(forms, point) -> bool:
-    return all(f.evaluate(point) == 0 for f in forms)
 
 
 def enumerate_projective(forms, names, B, budget: float | None = None,
                          solve_var: str | None = None) -> CountResult:
     """All points of P^n(Q) on the common zero locus with height <= B.
 
-    ``forms`` may be empty (the whole projective space).  The last variable
-    is solved exactly per fiber unless ``solve_var`` overrides it.
+    ``forms`` must be homogeneous (DomainError otherwise) and may be empty
+    (the whole projective space).  The last variable is solved exactly per
+    fiber unless ``solve_var`` overrides it.  Since f(-v) = +-f(v), only the
+    prefixes (the other coordinates) whose first nonzero entry is positive
+    are scanned, plus the unit point of the solved variable, so each point
+    class has one primitive representative in the scan; rows with a common
+    factor are dropped, since their primitive part is found in its own fiber.
     """
     names = tuple(names)
     B = int(B)
     if B < 1:
         raise DomainError("B must be >= 1")
     _check_budget(len(names), B, budget)
+    forms = [restrict(f, names) for f in forms]
     for f in forms:
         if f.is_zero():
             raise DomainError("zero form in the system")
-    forms = [f.rational_content()[1] for f in (restrict(f, names) for f in forms)]
-
-    if not forms:
-        return _enumerate_full_projective(names, B)
+        if not f.is_homogeneous():
+            raise DomainError(f"form is not homogeneous: {f}")
+    forms = [f.rational_content()[1] for f in forms]
 
     var = solve_var or names[-1]
     others = [n for n in names if n != var]
-    pts = set()
-    for chunk in _prefix_chunks(len(others), B):
-        prefix = {n: chunk[i] for i, n in enumerate(others)}
-        fib, xs, ident = _solve_fibers(forms, names, var, prefix, B)
-        for i, x in zip(fib.tolist(), xs.tolist()):
-            full = tuple(int(x) if n == var else int(prefix[n][i]) for n in names)
-            cp = _canon_projective(full)
-            if cp is not None:
-                pts.add(cp)
-        for i in ident.tolist():
-            # the solve form vanishes on the whole fiber; check the others
-            base = {n: int(prefix[n][i]) for n in others}
-            for x in range(-B, B + 1):
-                full = tuple(x if n == var else base[n] for n in names)
-                cp = _canon_projective(full)
-                if cp is not None and cp not in pts:
-                    if _verify_point_exact(forms, full):
-                        pts.add(cp)
-    ordered = tuple(sorted(pts))
-    return CountResult(len(ordered), ordered, True)
-
-
-def _enumerate_full_projective(names, B):
-    nv = len(names)
-    pts = set()
-    rng = np.arange(-B, B + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * nv), indexing="ij")
-    vecs = np.stack([g.ravel() for g in grids], axis=1)
-    g = np.gcd.reduce(np.abs(vecs), axis=1)
-    keep = g == 1
-    for row in vecs[keep]:
-        cp = _canon_projective(tuple(int(v) for v in row))
-        if cp is not None:
-            pts.add(cp)
-    ordered = tuple(sorted(pts))
-    return CountResult(len(ordered), ordered, True)
+    coeffs = _solve_form_coeffs(forms, var)
+    # the zero prefix holds one point class, the unit point of var
+    unit = np.array([[int(n == var) for n in names]], dtype=np.int64)
+    found = [unit if all(f.evaluate(unit[0].tolist()) == 0 for f in forms) else unit[:0]]
+    for chunk in _prefix_chunks(len(others), B, half=True):
+        rows, _ = _fiber_points(forms, coeffs, names, var, dict(zip(others, chunk)), B)
+        rows = rows[np.gcd.reduce(np.abs(rows), axis=1) == 1]
+        rows *= _lead_sign(rows)[:, None]
+        found.append(rows)
+    # the +-1 widening of the float roots can propose one x twice in a fiber
+    pts = np.unique(np.concatenate(found), axis=0)
+    return CountResult(len(pts), tuple(map(tuple, pts.tolist())), True)
 
 
 def enumerate_affine(forms, names, B, budget: float | None = None,
@@ -330,35 +347,26 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
     Bi = int(math.floor(B))
     B2 = int(math.floor(B * B))
     var = names[-1]
-    others = [n for n in names if n != var]
-    pts = set()
-    for chunk in _prefix_chunks(len(others), Bi):
-        arrays = [chunk[i] for i in range(len(others))]
-        norm2 = sum(a * a for a in arrays)
-        if norm == "euclidean":
+    others = names[:-1]
+    coeffs = _solve_form_coeffs(forms, var)
+    found = [np.empty((0, len(names)), dtype=np.int64)]
+    for arrays in _prefix_chunks(len(others), Bi):
+        if norm == "max":
+            rows, _ = _fiber_points(forms, coeffs, names, var,
+                                    dict(zip(others, arrays)), Bi)
+        else:
+            norm2 = sum(a * a for a in arrays)
             keep = norm2 <= B2
             if not keep.any():
                 continue
-            prefix = {n: a[keep] for n, a in zip(others, arrays)}
             room = B2 - norm2[keep]
-        else:
-            prefix = {n: a for n, a in zip(others, arrays)}
-            room = np.full(arrays[0].shape, Bi * Bi, dtype=np.int64)
-        cap = Bi if norm == "max" else int(math.isqrt(int(room.max())))
-        fib, xs, ident = _solve_fibers(forms, names, var, prefix, cap)
-        for i, x in zip(fib.tolist(), xs.tolist()):
-            if norm == "euclidean" and x * x > int(room[i]):
-                continue
-            pts.add(tuple(int(prefix[n][i]) if n != var else int(x) for n in names))
-        for i in ident.tolist():
-            m = int(math.isqrt(int(room[i]))) if norm == "euclidean" else Bi
-            base = {n: int(prefix[n][i]) for n in others}
-            for x in range(-m, m + 1):
-                full = tuple(base[n] if n != var else x for n in names)
-                if full not in pts and _verify_point_exact(forms, full):
-                    pts.add(full)
-    ordered = tuple(sorted(pts))
-    return CountResult(len(ordered), ordered, True)
+            rows, fib = _fiber_points(forms, coeffs, names, var,
+                                      {n: a[keep] for n, a in zip(others, arrays)},
+                                      math.isqrt(int(room.max())))
+            rows = rows[rows[:, -1] ** 2 <= room[fib]]
+        found.append(rows)
+    pts = np.unique(np.concatenate(found), axis=0)
+    return CountResult(len(pts), tuple(map(tuple, pts.tolist())), True)
 
 
 # --- conic points with the accelerated route -----------------------------------------
@@ -453,8 +461,8 @@ def _conic_points_parameterized(Q, ell, B, base_search):
             vec = tuple(r[0] * s * s + r[1] * s * u + r[2] * u * u for r in rows)
             if all(v == 0 for v in vec):
                 continue
-            cp = _canon_projective(vec)
-            if cp and max(abs(v) for v in cp) <= B:
+            cp = normalize_primitive_vector(vec)[0]
+            if max(abs(v) for v in cp) <= B:
                 pts.add(cp)
     # base point itself corresponds to the branch Q(w) = 0 directions; it is
     # already produced unless every chord misses it at primitive parameters
@@ -465,7 +473,6 @@ def _conic_points_parameterized(Q, ell, B, base_search):
 def _pair_cutoff(rows):
     """Exact c with max|row values| / content >= c * max(|s|,|u|)^2, via the
     rescaled Sylvester Bezout identities of a coprime coordinate pair."""
-    import itertools as it
     from .cubic_conics import _bezout_cutoff
     live = [r for r in rows if any(r)]
     best = None

@@ -107,8 +107,8 @@ def test_census_reproducible(capsys, data_dir):
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# README command-line examples, without `verify` (the slowest); tests/golden
-# holds the JSON each must print, byte for byte
+# README command-line examples; tests/golden holds the JSON each must print,
+# byte for byte
 README_EXAMPLES = {
     "primes": "primes --x-max 1e5",
     "hs": "hs --d 2 --mu 1 --m-max 10000",
@@ -118,6 +118,7 @@ README_EXAMPLES = {
     "census": "census --surface data/fermat.cubic --line-height 1 --B 100,400",
     "count": "count --curve data/conic.txt --B 2,8,32",
     "aux": "aux --curve data/line_p2.txt --B 1",
+    "verify": "verify --surface data/fermat.cubic --line-height 1 --B 16,32,64 --affine",
 }
 
 

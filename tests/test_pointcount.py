@@ -3,6 +3,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubiconics.cayley import T4
 from cubiconics.cubic_conics import find_lines
@@ -89,6 +91,63 @@ def test_exactness_small_B_rescan():
     for B in (2, 4):
         fast = set(enumerate_projective([g], T4, B).points)
         assert fast == brute_projective([g], T4, B)
+
+
+@st.composite
+def projective_case(draw):
+    """A small-coefficient cubic in 3 or 4 variables: sparse random terms,
+    or a product of random linear forms (many points, double roots and
+    identically-zero fibers), with a solve variable and a small B."""
+    names = T4[:draw(st.sampled_from((3, 4)))]
+    nv = len(names)
+    coeff = st.integers(-3, 3)
+    shape = draw(st.sampled_from(("terms", "lines")))
+    if shape == "terms":
+        monos = [e for e in itertools.product(range(4), repeat=nv) if sum(e) == 3]
+        terms = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=6))
+        f = MultiPoly(names, terms)
+    else:
+        f = MultiPoly.constant(1, names)
+        for _ in range(3):
+            row = draw(st.lists(coeff, min_size=nv, max_size=nv))
+            f = f * MultiPoly(names, {tuple(int(i == j) for j in range(nv)): c
+                                      for i, c in enumerate(row)})
+    if f.is_zero():
+        f = MultiPoly.parse("T0^3 + T1^3 + T2^3", names)
+    return f, names, draw(st.sampled_from(names)), draw(st.integers(1, 4 if nv == 3 else 3))
+
+
+def _case(text, names, var, B):
+    return MultiPoly.parse(text, names), names, var, B
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(projective_case())
+# vanishes at the unit point of the solved variable
+@example(_case("T0^3 + T1*T2*T3", T4, "T3", 3))
+@example(_case("T0^2*T1 + T2^2*T0", P2, "T2", 4))
+# identically-zero fibers where T0 = 0
+@example(_case("T0*T1^2 - T0*T2*T3", T4, "T3", 3))
+@example(_case("T0*T1^2 - T0*T2*T3", T4, "T1", 3))
+# an integer double root on every fiber, and the float-rounding reproducer
+@example(_case("T2^3 + T1*T2^2 - 2*T0*T2^2 - 2*T0*T1*T2 + T0^2*T2 + T0^2*T1",
+               P2, "T2", 4))  # (T2 - T0)^2 (T2 + T1)
+@example(_case("T3^3 + T1*T3^2 - 2*T0*T3^2 - 2*T0*T1*T3 + T0^2*T3"
+               " + T0^2*T1 + T2^3 - T0^2*T2", T4, "T3", 3))
+def test_projective_matches_brute_exactly(case):
+    f, names, var, B = case
+    r = enumerate_projective([f], names, B, solve_var=var)
+    # the exact tuple: sorted, and each point class once
+    assert r.points == tuple(sorted(brute_projective([f], names, B)))
+    assert r.count == len(r.points)
+
+
+def test_projective_needs_homogeneous_forms():
+    with pytest.raises(DomainError):
+        enumerate_projective([MultiPoly.parse("T0^2 - T1", P2)], P2, 3)
+    with pytest.raises(DomainError):
+        enumerate_projective([MultiPoly.parse("T0 - T1", P2),
+                              MultiPoly.parse("T2^2 - T0", P2)], P2, 3)
 
 
 def test_large_coefficients_do_not_wrap():
