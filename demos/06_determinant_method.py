@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Auxiliary hypersurfaces through all points of bounded height.
 
-The degree scan is certified: a mod-p kernel dimension bounds the rational
-one from above, so equality with the containment subspace proves no witness
-exists at that degree, while a column count beats the point count proves one
-does.  The returned forms carry exact certificates for both legs.
+The search runs over the standard monomials of the curve's coordinate ring,
+so every nonzero kernel vector is a witness.  The degree scan is certified:
+a rank mod p bounds the rational rank from below, so standard columns of
+full rank mod p prove that no witness exists at that degree.  The returned
+forms carry exact certificates for both legs.
 """
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ A3 = ("T1", "T2", "T3")
 
 print("== evaluation matrices and exact kernels ==")
 pts = [(1, 0, 0), (0, 0, 1), (1, 1, 1), (1, -1, 1)]
-M = evaluation_matrix(pts, 2, "projective")
+M = evaluation_matrix(pts, 2)
 print(f"  4 conic points, degree 2: {len(M.rows)} x {len(M.monomials)} matrix")
 ker = exact_kernel(M.rows, len(M.monomials))
 print(f"  kernel dimension: {len(ker)} (verified exactly)")

@@ -1,40 +1,47 @@
 """Empirical determinant method: auxiliary hypersurfaces through point sets.
 
-Given the rational points of bounded height on a variety, find the least
-degree omega at which some form vanishes on all of them without vanishing on
-the variety.  The two certificates are exact: vanishing is checked in integer
-arithmetic, non-containment by exact polynomial division.
+Given the rational points of bounded height on a projective variety V, find
+the least degree omega at which some form vanishes on all of them without
+vanishing on V.
 
-The degree scan is certified arithmetically: a kernel dimension computed
-modulo a random word-size prime never exceeds the rational one, so a mod-p
-kernel that is no bigger than the containment subspace proves that no
-witness exists at that degree; only then is an exact fraction-free solve run
-at the candidate degree.
+The search runs in a basis of the coordinate ring, not in the whole monomial
+space.  Each linear member of the system eliminates its graded-lex leading
+variable (its pivot), and at most one form f is left in the other variables.
+The degree-D monomials free of the pivots that the graded-lex leading
+monomial of f does not divide (the standard monomials) are a basis of the
+degree-D part of Q[T]/I(V), provided f is squarefree; that precondition is
+not checked.  A nonzero combination of standard monomials is its own
+remainder mod f, so it does not vanish on V: every nonzero kernel vector of
+the standard columns of the evaluation matrix is a witness.  Conversely, the
+remainder of any witness is such a vector, because the points lie on V.
+
+Both certificate legs are exact: vanishing at every point is checked in
+integer arithmetic (inside exact_kernel, or by evaluation for the
+product-of-lines construction in P^2), and non-containment by one exact
+division: f does not divide the witness.
+
+The degree scan is certified arithmetically: a rank modulo a word-size prime
+never exceeds the rational one, so standard columns of full rank mod p prove
+that no witness exists at that degree; only then is an exact fraction-free
+solve run.  Scan records give the full-space figures, which the quotient
+determines: ideal_dim = #monomials - #standard (the degree-D part of I(V))
+and dimker_p = ideal_dim + #standard - rank mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
-from .linalg import annihilates, exact_kernel, rank_mod_p
+from .linalg import exact_kernel, rank_mod_p
 from .multipoly import MultiPoly, monomials_of_degree, restrict
 from .pointcount import enumerate_projective, homogenize
 
 _SCAN_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
-
-
-def _monomials(nvars: int, D: int, mode: str):
-    """Exponent vectors: degree exactly D (projective) or <= D (affine),
-    graded-lex descending within each degree block."""
-    degs = [D] if mode == "projective" else range(D, -1, -1)
-    return [e for d in degs for e in monomials_of_degree(nvars, d)]
 
 
 @dataclass
@@ -44,30 +51,26 @@ class EvaluationMatrix:
     rows: list
     names: tuple
     D: int
-    mode: str
 
     def dump(self) -> str:
         """Text dump for offline inspection: the column monomials in the
         polynomial text format, then one integer row per point."""
         head = " | ".join(
             str(MultiPoly(self.names, {e: 1})) for e in self.monomials)
-        lines = [f"# degree {self.D} ({self.mode}); columns: {head}"]
+        lines = [f"# degree {self.D}; columns: {head}"]
         for p, row in zip(self.points, self.rows):
             lines.append(f"{list(p)}: " + " ".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
 
 
-def evaluation_matrix(points, D: int, mode: str = "projective",
-                      names=None) -> EvaluationMatrix:
-    """Exact integer matrix of monomial evaluations, rows by point order,
-    columns in graded-lex order."""
+def evaluation_matrix(points, D: int, names=None) -> EvaluationMatrix:
+    """Exact integer matrix of the degree-D monomial evaluations, rows by
+    point order, columns in graded-lex order."""
     points = tuple(tuple(int(c) for c in p) for p in points)
-    if mode not in ("projective", "affine"):
-        raise DomainError("mode must be 'projective' or 'affine'")
     nvars = len(points[0]) if points else (len(names) if names else 0)
     if names is None:
         names = tuple(f"T{i}" for i in range(nvars))
-    monos = _monomials(nvars, D, mode)
+    monos = monomials_of_degree(nvars, D)
     rows = []
     for p in points:
         row = []
@@ -78,7 +81,7 @@ def evaluation_matrix(points, D: int, mode: str = "projective",
                     v *= x ** ei
             row.append(v)
         rows.append(row)
-    return EvaluationMatrix(points, tuple(monos), rows, tuple(names), D, mode)
+    return EvaluationMatrix(points, tuple(monos), rows, tuple(names), D)
 
 
 def _matrix_mod_p(points, monos, p):
@@ -104,57 +107,41 @@ def pow_mod_vec(a, e, p):
     return out
 
 
-# --- containment tests -----------------------------------------------------------
+# --- the coordinate ring ---------------------------------------------------------
 
 
-def _ideal_dimension(forms, nvars: int, D: int, mode: str) -> int:
-    """Dimension of the degree-D (or <= D) part of the ideal of the variety
-    inside the full monomial space; the containment subspace of the kernel."""
-    degs = sorted(f.total_degree() for f in forms)
+def _quotient(forms, names):
+    """(pivots, f): the indices of the variables that the linear members
+    eliminate, and the one form left in the other variables (None when no
+    form is left)."""
+    rest = sorted(forms, key=MultiPoly.total_degree)
+    pivots, f = [], None
+    for i, g in enumerate(rest):
+        if not g.is_homogeneous():
+            raise DomainError(f"form is not homogeneous: {g}")
+        if g.is_zero():
+            continue  # implied by the linear members
+        if g.total_degree() == 1:
+            e, c = g.leading_term()
+            k = e.index(1)
+            expr = MultiPoly.variable(names[k], names) - g * (1 / c)
+            rest[i + 1:] = [h.substitute({names[k]: expr}) for h in rest[i + 1:]]
+            pivots.append(k)
+        elif f is None:
+            f = g
+        else:
+            raise DomainError("auxiliary forms need at most one nonlinear form "
+                              "besides the linear members")
+    return tuple(pivots), f
 
-    def proj_dim(d):
-        return comb(d + nvars - 1, nvars - 1) if d >= 0 else 0
 
-    def ideal_proj(d):
-        if len(degs) == 1:
-            return proj_dim(d - degs[0])
-        if len(degs) == 2:
-            a, b = degs
-            return proj_dim(d - a) + proj_dim(d - b) - proj_dim(d - a - b)
-        raise DomainError("containment implemented for at most two forms")
-
-    if mode == "projective":
-        return ideal_proj(D)
-    return sum(ideal_proj(d) for d in range(D + 1))
-
-
-def _contains_variety(candidate: MultiPoly, forms, mode: str) -> bool:
-    """Exact test that the candidate vanishes on the whole variety.
-
-    One form: exact divisibility (the defining ideal is principal and, for
-    the geometrically integral inputs used here, radical).  Two forms (a
-    curve in a plane of P^3): reduce modulo the linear form and divide.
-    """
-    if len(forms) == 1:
-        return forms[0].divides(candidate)
-    ell = min(forms, key=lambda f: f.total_degree())
-    other = max(forms, key=lambda f: f.total_degree())
-    if ell.total_degree() != 1:
-        raise DomainError("two-form containment expects a linear member")
-    piv_e = next(iter(sorted(ell.terms)))
-    piv = ell.names[piv_e.index(1)]
-    cpiv = ell.terms[piv_e]
-    expr = MultiPoly.zero(ell.names)
-    for e, c in ell.terms.items():
-        if e != piv_e:
-            expr = expr - (c / cpiv) * MultiPoly(ell.names, {e: 1})
-    cand_bar = candidate.substitute({piv: expr})
-    other_bar = other.substitute({piv: expr})
-    if cand_bar.is_zero():
-        return True
-    if other_bar.is_zero():
-        return False
-    return other_bar.divides(cand_bar)
+def _standard(monos, pivots, f):
+    """Indices of the standard monomials among ``monos``: free of the pivots
+    and not divisible by the leading monomial of f."""
+    lead = f.leading_term()[0] if f is not None else None
+    return [i for i, e in enumerate(monos)
+            if not any(e[k] for k in pivots)
+            and (lead is None or any(a < b for a, b in zip(e, lead)))]
 
 
 @dataclass
@@ -164,33 +151,33 @@ class AuxiliaryForm:
     certificate: dict
 
 
-def auxiliary_form(forms, names, points, D: int, mode: str = "projective"):
+def _kernel_witness(M: EvaluationMatrix, std, f):
+    """The first basis vector of the exact kernel of the standard columns of
+    M, as a certified witness; None when that kernel is zero."""
+    kernel = exact_kernel([[r[i] for i in std] for r in M.rows], len(std))
+    if not kernel:
+        return None
+    cand = _vec_to_poly(kernel[0], [M.monomials[i] for i in std], M.names)
+    if f is not None and f.divides(cand):
+        raise AssertionError("a combination of standard monomials lies in (f)")
+    return AuxiliaryForm(M.D, cand, {
+        "vanishes_on_all_points": True,  # verified inside exact_kernel
+        "not_containing_variety": True,
+        "points": len(M.points),
+    })
+
+
+def auxiliary_form(forms, names, points, D: int):
     """A degree-D form vanishing at every point but not on the variety, with
     both certificate legs exact; None when every such form contains the
-    variety."""
+    variety.  DomainError when a point is not on the variety."""
     names = tuple(names)
     forms = [restrict(f, names) for f in forms]
-    if not points:
-        for mono in _monomials(len(names), D, mode):
-            cand = MultiPoly(names, {mono: 1})
-            if not _contains_variety(cand, forms, mode):
-                return AuxiliaryForm(D, cand, {"vanishes_on_all_points": True,
-                                               "not_containing_variety": True,
-                                               "points": 0})
-        return None
-    M = evaluation_matrix(points, D, mode, names)
-    kernel = exact_kernel(M.rows, len(M.monomials))
-    if len(kernel) and len(points) < len(M.monomials):
-        assert len(kernel) >= len(M.monomials) - len(points)
-    for v in kernel:
-        cand = _vec_to_poly(v, M.monomials, names)
-        if not _contains_variety(cand, forms, mode):
-            return AuxiliaryForm(D, cand, {
-                "vanishes_on_all_points": True,  # verified inside exact_kernel
-                "not_containing_variety": True,
-                "points": len(points),
-            })
-    return None
+    if any(g.evaluate(p) != 0 for p in points for g in forms):
+        raise DomainError("auxiliary_form needs points on the variety")
+    pivots, f = _quotient(forms, names)
+    M = evaluation_matrix(points, D, names)
+    return _kernel_witness(M, _standard(M.monomials, pivots, f), f)
 
 
 def _vec_to_poly(v, monomials, names):
@@ -200,28 +187,8 @@ def _vec_to_poly(v, monomials, names):
     return prim
 
 
-def _exact_kernel_vector_from_pivots(rows, monos, pivots, free_col):
-    """Exact kernel vector supported on the mod-p pivot columns plus one free
-    column, solved by fraction-free elimination on the restricted matrix;
-    None if the restricted system is inconsistent over Q."""
-    cols = pivots + [free_col]
-    sub = [[r[c] for c in cols] for r in rows]
-    kernel = exact_kernel(sub, len(cols))
-    want = None
-    for v in kernel:
-        if v[-1] != 0:
-            want = v
-            break
-    if want is None:
-        return None
-    full = [Fraction(0)] * len(monos)
-    for c, val in zip(cols, want):
-        full[c] = val
-    return full
-
-
-def minimal_omega(forms, names, B, mode: str = "projective",
-                  budget_D: int = 200, constants: ExternalConstants | None = None,
+def minimal_omega(forms, names, B, budget_D: int = 200,
+                  constants: ExternalConstants | None = None,
                   enum_budget: float | None = None) -> dict:
     """Least degree omega admitting an auxiliary form through all points of
     height <= B, by linear scan from D = 1 with mod-p certified skips.
@@ -234,27 +201,29 @@ def minimal_omega(forms, names, B, mode: str = "projective",
     res = enumerate_projective(forms, names, B, budget=enum_budget)
     points = res.points
     nvars = len(names)
+    pivots, f = _quotient(forms, names)
     p = _SCAN_PRIME
     skipped = []
     for D in range(1, budget_D + 1):
-        monos = _monomials(nvars, D, mode)
-        ideal_dim = _ideal_dimension(forms, nvars, D, mode)
-        if not points:
-            dimker_p = len(monos)
-            pivots, free = [], list(range(len(monos)))
-        else:
-            Mp = _matrix_mod_p(points, monos, p)
-            rank_p, pivots, free = rank_mod_p(Mp, p)
-            dimker_p = len(monos) - rank_p
-        if dimker_p <= ideal_dim:
-            # kernel over Q is at most the mod-p kernel and always contains
-            # the ideal part: equality certified, no witness at this degree
-            skipped.append({"D": D, "dimker_p": dimker_p, "ideal_dim": ideal_dim})
+        monos = monomials_of_degree(nvars, D)
+        std = _standard(monos, pivots, f)
+        rank_p = 0
+        if points and std:
+            rank_p = rank_mod_p(_matrix_mod_p(points, [monos[i] for i in std], p), p)[0]
+        record = {"D": D, "dimker_p": len(monos) - rank_p,
+                  "ideal_dim": len(monos) - len(std)}
+        if rank_p == len(std):
+            # the rank over Q is at least the rank mod p, so no combination
+            # of standard monomials vanishes on the points: no witness at D
+            skipped.append(record)
             continue
-        witness = _witness_at_degree(forms, names, points, monos, pivots, free,
-                                     ideal_dim, D, mode)
+        witness = None
+        if nvars == 3 and not pivots:
+            witness = _product_of_lines_witness(f, names, points, D)
+        if witness is None:
+            witness = _kernel_witness(evaluation_matrix(points, D, names), std, f)
         if witness is not None:
-            delta = max(f.total_degree() for f in forms)
+            delta = max(g.total_degree() for g in forms)
             d = nvars - 1 - len(forms)
             report = {
                 "omega": D,
@@ -265,29 +234,26 @@ def minimal_omega(forms, names, B, mode: str = "projective",
                 "scan": skipped,
             }
             if constants is not None and d == 1:
-                kind = "projective-curve" if mode == "projective" else "affine-curve"
-                report["bound_shape"] = {
-                    "kind": kind,
-                    "value": bound_evaluator(kind, {"n": nvars - 1, "delta": delta,
-                                                    "B": B}, constants),
-                }
+                kind = "projective-curve"
+                report["bound_shape"] = {"kind": kind, "value": bound_evaluator(
+                    kind, {"n": nvars - 1, "delta": delta, "B": B}, constants)}
             return report
-        skipped.append({"D": D, "dimker_p": dimker_p, "ideal_dim": ideal_dim,
-                        "note": "witness search exhausted over Q"})
+        skipped.append({**record, "note": "witness search exhausted over Q"})
     raise BudgetError(f"no auxiliary form found up to degree {budget_D}",
                       partial=skipped)
 
 
-def _product_of_lines_witness(forms, names, points, D, mode):
-    """Witness as a product of linear forms, one through each pair of points
-    (plus filler factors up to degree D); both certificates verified exactly.
+def _product_of_lines_witness(f, names, points, D):
+    """Witness in P^2 as a product of linear forms, one through each pair of
+    points (plus filler factors up to degree D); both certificates verified
+    exactly.
 
     An irreducible defining form of degree >= 2 never divides a product of
-    linear forms, so for non-linear varieties this is a minimal-cost witness;
-    a None return means the construction did not apply and the caller should
-    fall back to exact linear algebra.
+    linear forms, so this is a minimal-cost witness; a None return means the
+    construction did not apply and the caller should fall back to exact
+    linear algebra.
     """
-    if mode != "projective" or len(names) != 3 or len(forms) != 1:
+    if not points:
         return None
     pts = sorted(points)
     factors = []
@@ -324,7 +290,7 @@ def _product_of_lines_witness(forms, names, points, D, mode):
     # exact certificates
     if any(poly.evaluate(p) != 0 for p in pts):
         return None
-    if _contains_variety(poly, forms, mode):
+    if f is not None and f.divides(poly):
         return None
     return AuxiliaryForm(D, poly, {
         "vanishes_on_all_points": True,
@@ -332,46 +298,6 @@ def _product_of_lines_witness(forms, names, points, D, mode):
         "points": len(pts),
         "construction": "product of lines through point pairs",
     })
-
-
-def _witness_at_degree(forms, names, points, monos, pivots, free, ideal_dim,
-                       D, mode):
-    if not points:
-        cand = MultiPoly(names, {monos[0]: 1})
-        if not _contains_variety(cand, forms, mode):
-            return AuxiliaryForm(D, cand, {"vanishes_on_all_points": True,
-                                           "not_containing_variety": True,
-                                           "points": 0})
-        return None
-    cheap = _product_of_lines_witness(forms, names, points, D, mode)
-    if cheap is not None:
-        return cheap
-    rows = [list(r) for r in evaluation_matrix(points, D, mode, names).rows]
-    # if every reduced-basis kernel vector lay in the containment subspace the
-    # whole kernel would, contradicting the dimension gap, so scanning free
-    # columns finds a witness as soon as the mod-p pivot structure is honest
-    tried = 0
-    for fc in free:
-        v = _exact_kernel_vector_from_pivots(rows, monos, pivots, fc)
-        tried += 1
-        if v is None:
-            continue
-        if not annihilates(rows, v):
-            continue  # unlucky pivot structure mod p
-        cand = _vec_to_poly(v, monos, names)
-        if not _contains_variety(cand, forms, mode):
-            return AuxiliaryForm(D, cand, {
-                "vanishes_on_all_points": True,
-                "not_containing_variety": True,
-                "points": len(points),
-            })
-        if tried >= 24:
-            break
-    if len(monos) <= 400:
-        # small enough for the full exact kernel
-        return auxiliary_form(forms, names, points, D, mode)
-    raise BudgetError(
-        f"witness search at degree {D} exhausted its column budget")
 
 
 # --- translation search -------------------------------------------------------------

@@ -148,10 +148,14 @@ def _quadratic_real_roots(c2, c1, c0):
 
 def _solve_form_coeffs(forms, var):
     """Coefficients in ``var`` of the form of least degree in ``var``: the
-    equation each fiber solves.  None for the empty system."""
+    equation each fiber solves.  None for the empty system; DomainError when
+    that degree exceeds 3, which the fiber solver does not handle."""
     if not forms:
         return None
-    return _coeff_polys(min(forms, key=lambda f: f.degree_in([var])), var)
+    f = min(forms, key=lambda f: f.degree_in([var]))
+    if f.degree_in([var]) > 3:
+        raise DomainError(f"every form has degree > 3 in the solved variable {var}")
+    return _coeff_polys(f, var)
 
 
 def _vanish(forms, arrays):

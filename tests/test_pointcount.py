@@ -158,6 +158,20 @@ def test_large_coefficients_do_not_wrap():
     assert set(r.points) == brute_projective([f], P2, 4) == {(0, 1, 1)}
 
 
+def test_solve_degree_above_three_is_refused():
+    # the fiber solver handles degree <= 3 in the solved variable; solving
+    # this quartic in T2 as a cubic would lose (0, 1, 1) and (0, 1, -1)
+    f = MultiPoly.parse("T2^4 - T1^4 - T0^3*T1", P2)
+    with pytest.raises(DomainError):
+        enumerate_projective([f], P2, 6)
+    with pytest.raises(DomainError):
+        enumerate_affine([f], P2, 6, norm="max")
+    # solved for T0 (degree 3) the same curve is counted in full
+    r = enumerate_projective([f], P2, 6, solve_var="T0")
+    assert r.points == tuple(sorted(brute_projective([f], P2, 6)))
+    assert r.count == 4
+
+
 def test_solve_variable_permutation_invariance():
     f = MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3", T4)
     base = set(enumerate_projective([f], T4, 6).points)
