@@ -7,10 +7,14 @@ polynomial in these coordinates cutting the locus of lines that meet it.
 
 Two computation routes are kept:
 
-* the primary elimination route: solve the two symbolic hyperplanes for two
-  of the ambient variables, reduce to a Sylvester resultant of binary forms,
-  then descend the resulting frame-invariant biform to line coordinates;
-* the full Macaulay resultant as a cross-check oracle.
+* the primary elimination route, which never leaves Q[p, t]/(G): parameterize
+  the symbolic line in the chart p23 != 0, take the Sylvester resultant in
+  the parameters, reduce it modulo G with p02*p13 as the leading monomial,
+  strip the chart factor p23^(deg Q) by an exponent shift, and put the result
+  in canonical form.  A fixed linear factor (the incidence form of a line) is
+  divided out in the same ring by ``divide_mod_G``;
+* the full Macaulay resultant in a symbolic hyperplane pair, descended to
+  line coordinates by a linear solve, as a cross-check oracle.
 
 All outputs are put in a canonical normal form: reduced modulo G so that no
 monomial is divisible by p01*p23, integer primitive, sign-normalized.  Raw
@@ -19,10 +23,12 @@ scalars are never compared across routes.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotFrameInvariantError
+from .errors import DomainError, NonDivisibleError, NotFrameInvariantError
 from .heights import normalize_primitive_vector
 from .linalg import solve
 from .multipoly import (MultiPoly, embed, macaulay_resultant,
@@ -48,36 +54,101 @@ def grassmann_relation(names=PLUCKER) -> MultiPoly:
     return MultiPoly.parse("p01*p23 - p02*p13 + p03*p12", names)
 
 
+# the monomials of G with their signs; any one of them can lead
+_G_TERMS = ((("p01", "p23"), 1), (("p02", "p13"), -1), (("p03", "p12"), 1))
+
+
+def _reduce_terms(terms, names, lead, todo):
+    """Rewrite in place, by G, each exponent of ``todo`` divisible by the
+    monomial ``lead`` of G, and each such exponent the rewriting writes.
+    Returns the other exponents met; those still in ``terms`` are reduced."""
+    s = dict(_G_TERMS)[lead]
+    i, j = (names.index(n) for n in lead)
+    rest = [((names.index(a), names.index(b)), -s * sm)
+            for (a, b), sm in _G_TERMS if (a, b) != lead]
+    kept = []
+    while todo:
+        e = todo.pop()
+        c = terms.pop(e, None) if e[i] and e[j] else None
+        if c is None:
+            kept.append(e)
+            continue
+        for (a, b), sm in rest:
+            e2 = tuple(x + (k in (a, b)) - (k in (i, j)) for k, x in enumerate(e))
+            cur = terms.pop(e2, 0) + sm * c
+            if cur:
+                terms[e2] = cur
+                todo.append(e2)
+    return kept
+
+
+def reduce_mod_G(poly: MultiPoly, lead=("p01", "p23")) -> MultiPoly:
+    """Normal form modulo G in which ``lead``, one of the three monomials of
+    G, divides no monomial.  Each choice of lead has its own normal form."""
+    terms = dict(poly.terms)
+    _reduce_terms(terms, poly.names, lead, list(terms))
+    return MultiPoly(poly.names, terms)
+
+
 def canonical_mod_G(poly: MultiPoly) -> MultiPoly:
     """Normal form modulo G: eliminate every monomial divisible by p01*p23
     (the graded-lex leading monomial of G) via p01*p23 -> p02*p13 - p03*p12."""
+    return reduce_mod_G(poly)
+
+
+def divide_mod_G(poly: MultiPoly, ell: MultiPoly) -> MultiPoly:
+    """A quotient C with poly == ell * C modulo G, for a linear form ell in
+    the line coordinates; other variables of poly (the pencil parameters)
+    act as coefficients.
+
+    Let v be the first line coordinate in ell and m the monomial of G free
+    of v.  Under the order by weight (2 on v and on m's variables, 1 on the
+    other line coordinates), ties broken lexicographically with v first, ell
+    leads with v and G with m.  Coprime leading monomials make {ell, G} a
+    Groebner basis, so the remainder of poly is 0 exactly when ell divides
+    it in Q[p, t]/(G); a leading term that v does not divide raises
+    NonDivisibleError.  C, unique modulo G, is returned unreduced.
+    """
     names = poly.names
-    i01, i23 = names.index("p01"), names.index("p23")
-    i02, i13 = names.index("p02"), names.index("p13")
-    i03, i12 = names.index("p03"), names.index("p12")
-    terms = dict(poly.terms)
-    work = [e for e in terms if e[i01] and e[i23]]
-    while work:
-        e = work.pop()
-        c = terms.pop(e, None)
-        if c is None or c == 0:
-            continue
-        base = list(e)
-        base[i01] -= 1
-        base[i23] -= 1
-        for (a, b), s in (((i02, i13), 1), ((i03, i12), -1)):
-            e2 = list(base)
-            e2[a] += 1
-            e2[b] += 1
-            e2 = tuple(e2)
-            cur = terms.get(e2, Fraction(0)) + s * c
-            if cur == 0:
-                terms.pop(e2, None)
-            else:
-                terms[e2] = cur
-                if e2[i01] and e2[i23]:
-                    work.append(e2)
-    return MultiPoly(names, terms)
+    ell = restrict(ell, PLUCKER)
+    if ell.total_degree() != 1 or not ell.is_homogeneous():
+        raise DomainError("divisor must be a nonzero linear form in the line coordinates")
+    lin = {names.index(PLUCKER[e.index(1)]): c for e, c in ell.terms.items()}
+    iv = min(lin)
+    cv = lin.pop(iv)
+    lead = next(m for m, _ in _G_TERMS if names[iv] not in m)
+    heavy = {iv} | {names.index(n) for n in lead}
+    weight = [2 if k in heavy else int(n in PLUCKER) for k, n in enumerate(names)]
+    order = [iv] + [k for k in range(len(names)) if k != iv]
+    r, q, heap = dict(poly.terms), {}, []
+
+    def settle(todo):  # G-reduce the exponents just written, queue the rest
+        for e in _reduce_terms(r, names, lead, todo):
+            if e in r:  # a min-heap in the reverse of the order
+                heapq.heappush(heap, ((-sum(w * x for w, x in zip(weight, e)),
+                                       [-e[k] for k in order]), e))
+
+    settle(list(r))
+    while r:
+        e = heapq.heappop(heap)[1]
+        c = r.pop(e, None)
+        if c is None:
+            continue  # cancelled or pushed twice
+        if not e[iv]:
+            r[e] = c
+            raise NonDivisibleError("linear form does not divide modulo G",
+                                    MultiPoly(names, r))
+        qe = e[:iv] + (e[iv] - 1,) + e[iv + 1:]
+        q[qe] = c / cv
+        new = []
+        for k, a in lin.items():
+            e2 = qe[:k] + (qe[k] + 1,) + qe[k + 1:]
+            cur = r.pop(e2, 0) - q[qe] * a
+            if cur:
+                r[e2] = cur
+                new.append(e2)
+        settle(new)
+    return MultiPoly(names, q)
 
 
 @dataclass(frozen=True)
@@ -121,8 +192,7 @@ class PluckerForm:
         if "t1" not in self.poly.names:
             return self
         sp = self.poly.substitute({"t1": Fraction(t1), "t2": Fraction(t2)})
-        sp = restrict(sp, PLUCKER)
-        return PluckerForm.make(sp)
+        return PluckerForm.make(restrict(sp, PLUCKER))
 
 
 # --- lines ---------------------------------------------------------------------
@@ -157,8 +227,7 @@ class LineP3:
 
     @classmethod
     def make(cls, u: MultiPoly, v: MultiPoly) -> "LineP3":
-        u = restrict(u, T4)
-        v = restrict(v, T4)
+        u, v = restrict(u, T4), restrict(v, T4)
         pl = plucker_of_line(u, v)
         assert grassmann_relation().evaluate(pl) == 0, \
             "minor vector violates the quadric relation"
@@ -171,54 +240,17 @@ def incidence_form(line: LineP3) -> PluckerForm:
     pairs)."""
     q = line.plucker
     # det[u;v;w;z] = p01 q23' - p02 q13' + p03 q12' + p12 q03' - p13 q02' + p23 q01'
-    coeffs = {
-        "p01": q[5], "p02": -q[4], "p03": q[3],
-        "p12": q[2], "p13": -q[1], "p23": q[0],
-    }
-    poly = MultiPoly(PLUCKER, {
-        tuple(1 if n == k else 0 for n in PLUCKER): c
-        for k, c in coeffs.items() if c
-    })
-    return PluckerForm.make(poly)
+    coeffs = (q[5], -q[4], q[3], q[2], -q[1], q[0])
+    return PluckerForm.make(MultiPoly(PLUCKER, {
+        tuple(int(k == i) for k in range(6)): c for i, c in enumerate(coeffs)}))
 
 
-def incidence_biform(line: LineP3, names=UV) -> MultiPoly:
-    """The same incidence condition as a (1,1)-biform in a symbolic
-    hyperplane pair: det of the 4x4 matrix [l1; l2; u; v]."""
-    q = line.plucker
-    minors = minor_biforms(names)
-    out = MultiPoly.zero(names)
-    for qc, s, key in zip(reversed(q), (1, -1, 1, 1, -1, 1), PLUCKER):
-        if qc:
-            out = out + minors[key] * (s * qc)
-    return out
-
-
-_MINOR_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def minor_biforms(names=UV):
     """{p_ij -> u_i v_j - u_j v_i} in the given biform ring."""
-    if names in _MINOR_CACHE:
-        return _MINOR_CACHE[names]
-    out = {}
-    for (i, j), key in zip(_PAIRS, PLUCKER):
-        ui = MultiPoly.variable(f"u{i}", names)
-        uj = MultiPoly.variable(f"u{j}", names)
-        vi = MultiPoly.variable(f"v{i}", names)
-        vj = MultiPoly.variable(f"v{j}", names)
-        out[key] = ui * vj - uj * vi
-    _MINOR_CACHE[names] = out
-    return out
-
-
-def bidegree(b: MultiPoly, names=UV):
-    """(deg in u's, deg in v's); requires bihomogeneity, else DomainError."""
-    uvars = [n for n in b.names if n.startswith("u")]
-    vvars = [n for n in b.names if n.startswith("v")]
-    if not b.is_homogeneous(uvars) or not b.is_homogeneous(vvars):
-        raise DomainError("not bihomogeneous")
-    return b.degree_in(uvars), b.degree_in(vvars)
+    x = {n: MultiPoly.variable(n, names) for n in names if n[0] in "uv"}
+    return {key: x[f"u{i}"] * x[f"v{j}"] - x[f"u{j}"] * x[f"v{i}"]
+            for (i, j), key in zip(_PAIRS, PLUCKER)}
 
 
 # --- hypersurface Cayley form -----------------------------------------------------
@@ -232,16 +264,9 @@ def cayley_hypersurface(f: MultiPoly) -> MultiPoly:
         raise DomainError("zero form")
     if not f.is_homogeneous():
         raise DomainError("hypersurface form must be homogeneous")
-    n = len(f.names) - 1
-    wnames = wedge_names(n)
-    out = {}
-    for e, c in f.terms.items():
-        sign = 1
-        for i, ei in enumerate(e):
-            if i % 2 == 1 and ei % 2 == 1:
-                sign = -sign
-        out[e] = out.get(e, Fraction(0)) + sign * c
-    psi = MultiPoly(wnames, out)
+    # each odd-indexed wedge carries a sign
+    psi = MultiPoly(wedge_names(len(f.names) - 1),
+                    {e: (-1) ** sum(e[1::2]) * c for e, c in f.terms.items()})
     _, prim = psi.rational_content()
     return prim
 
@@ -250,110 +275,73 @@ def cayley_hypersurface(f: MultiPoly) -> MultiPoly:
 
 
 def rewrite_biform_to_plucker(b: MultiPoly) -> PluckerForm:
-    """Descend a frame-invariant (k,k)-biform to the canonical degree-k form
-    in line coordinates: P with P(p(u,v)) == b(u,v) identically.
+    """Descend a frame-invariant (k,k)-biform in the hyperplane pair to the
+    canonical degree-k form in line coordinates: P with P(p(u,v)) == b(u,v)
+    identically.  Only the Macaulay oracle takes this route.
 
     The candidate monomials exclude multiples of p01*p23, which makes the
     solution unique; an inconsistent system means b was not in the image,
     i.e. not frame-invariant.
     """
-    tvars = tuple(n for n in b.names if n in TPAR)
-    uvnames = UV
-    du, dv = bidegree(b)
-    if du != dv:
-        raise NotFrameInvariantError("bidegree is not balanced")
-
-    minors = minor_biforms(uvnames)
-    monos = [e for e in monomials_of_degree(6, du) if not (e[0] and e[5])]
-    # expansion of each candidate monomial as a biform
-    cols = []
+    b = restrict(b, UV)
+    uvars, vvars = UV[:4], UV[4:]
+    k = b.degree_in(uvars)
+    if not (b.is_homogeneous(uvars) and b.is_homogeneous(vvars)) or b.degree_in(vvars) != k:
+        raise NotFrameInvariantError("not a biform of balanced bidegree")
+    minors = minor_biforms()
+    monos = [e for e in monomials_of_degree(6, k) if not (e[0] and e[5])]
+    cols = []  # expansion of each candidate monomial as a biform
     for e in monos:
-        prod = MultiPoly.constant(1, uvnames)
+        prod = MultiPoly.constant(1, UV)
         for name, ei in zip(PLUCKER, e):
-            for _ in range(ei):
-                prod = prod * minors[name]
+            prod = prod * minors[name] ** ei
         cols.append(prod)
     uv_monos = sorted({m for c in cols for m in c.terms})
-    uv_index = {m: i for i, m in enumerate(uv_monos)}
-    rows = [[Fraction(0)] * len(monos) for _ in uv_monos]
-    for j, c in enumerate(cols):
-        for m, coeff in c.terms.items():
-            rows[uv_index[m]][j] = coeff
-
-    # collect right-hand sides per t-monomial
-    rhs_by_t = {}
-    for e, cc in b.terms.items():
-        te = tuple(e[b.names.index(t)] for t in tvars) if tvars else ()
-        ue = tuple(e[b.names.index(n)] for n in uvnames)
-        if ue not in uv_index:
-            raise NotFrameInvariantError("biform involves a monomial outside the image")
-        col = rhs_by_t.setdefault(te, [Fraction(0)] * len(uv_monos))
-        col[uv_index[ue]] = cc
-    t_keys = sorted(rhs_by_t)
+    if set(b.terms) - set(uv_monos):
+        raise NotFrameInvariantError("biform involves a monomial outside the image")
+    rows = [[c.coefficient(m) for c in cols] for m in uv_monos]
     try:
-        sols = solve(rows, [rhs_by_t[tk] for tk in t_keys], len(monos))
+        (sol,) = solve(rows, [[b.coefficient(m) for m in uv_monos]], len(monos))
     except DomainError as exc:
         raise NotFrameInvariantError(f"descent system inconsistent: {exc}") from exc
-
-    out_names = PLUCKER + tvars
-    terms = {}
-    for tk, sol in zip(t_keys, sols):
-        for e, c in zip(monos, sol):
-            if c != 0:
-                terms[tuple(e) + tk] = c
-    if not terms:
-        raise DomainError("biform descended to zero")
-    return PluckerForm.make(MultiPoly(out_names, terms))
+    return PluckerForm.make(MultiPoly(PLUCKER, dict(zip(monos, sol))))
 
 
 # --- plane curves in P^3 -------------------------------------------------------------
 
 
-def _line_parameterization(names):
-    """Substitution T -> binary forms in (S, U) with formal line-coordinate
-    coefficients, parameterizing the intersection of the symbolic pair."""
-    S = MultiPoly.variable("S", names)
-    Uu = MultiPoly.variable("U", names)
-
-    def pv(n):
-        return MultiPoly.variable(n, names)
-
-    return {
-        "T0": pv("p23") * S,
-        "T1": pv("p23") * Uu,
-        "T2": -pv("p03") * S - pv("p13") * Uu,
-        "T3": pv("p02") * S + pv("p12") * Uu,
-    }
-
-
 def cycle_resultant_biform(Q: MultiPoly, ell: MultiPoly, tvars=()) -> MultiPoly:
-    """Biform of the Cayley form of the cycle V(ell, Q) in P^3 via the
-    elimination route: parameterize the symbolic line, take a Sylvester
-    resultant in the parameters, expand to the hyperplane pair and strip the
-    chart factor p23^(deg Q) exactly."""
+    """Cayley form of the cycle V(ell, Q) in P^3 as a polynomial in the line
+    coordinates (and ``tvars``), reduced so that no monomial is divisible by
+    p01*p23, not yet primitive.  It returns a Pluecker polynomial, not a
+    biform; the name is kept because ``bench/tracing.py`` wraps it by name.
+
+    The resultant R of the parameterized line is p23^k * C modulo G, with
+    k = deg Q.  In the normal form with p02*p13 leading, multiplying by p23
+    keeps a normal form, so the normal form of R is p23^k times that of C:
+    every term carries p23^k, and C comes out by lowering the p23 exponent by
+    k.  A term with less raises DomainError.
+    """
     tvars = tuple(tvars)
-    Qr = restrict(Q, T4 + tvars)
-    k = Qr.degree_in(T4)
+    k = restrict(Q, T4 + tvars).degree_in(T4)
     work_names = PLUCKER + ("S", "U") + tvars
-    Qx = embed(Qr, T4 + work_names)
-    Lx = embed(restrict(ell, T4 + tvars), T4 + work_names)
-    sub = _line_parameterization(T4 + work_names)
-    Qs = restrict(Qx.substitute(sub), work_names)
-    Ls = restrict(Lx.substitute(sub), work_names)
+    # the symbolic line in the chart p23 != 0: (S, U) = (1, 0) is its point
+    # on T1 = 0 and (0, 1) its point on T0 = 0
+    p = {n: MultiPoly.variable(n, T4 + work_names) for n in work_names}
+    sub = {"T0": p["p23"] * p["S"], "T1": p["p23"] * p["U"],
+           "T2": -p["p03"] * p["S"] - p["p13"] * p["U"],
+           "T3": p["p02"] * p["S"] + p["p12"] * p["U"]}
+    Ls, Qs = (restrict(embed(restrict(g, T4 + tvars), T4 + work_names).substitute(sub),
+                       work_names) for g in (ell, Q))
     R = sylvester_resultant_generic(Ls, Qs, ("S", "U"))
     if R.is_zero():
         raise DomainError("resultant vanished identically (degenerate cycle)")
-    R = canonical_mod_G(R)
-    # expand to the hyperplane pair
-    uvnames = UV + tvars
-    big = PLUCKER + uvnames
-    minors = minor_biforms(UV)
-    sub2 = {name: embed(m, big) for name, m in minors.items()}
-    expanded = restrict(embed(R, big).substitute(sub2), uvnames)
-    p23b = embed(minors["p23"], uvnames)
-    for _ in range(k):
-        expanded = expanded.exact_divide(p23b)
-    return expanded
+    R = reduce_mod_G(restrict(R, PLUCKER + tvars), ("p02", "p13"))
+    i23 = PLUCKER.index("p23")
+    if any(e[i23] < k for e in R.terms):
+        raise DomainError(f"resultant is not p23^{k} times a form modulo G")
+    return canonical_mod_G(MultiPoly(R.names, {
+        e[:i23] + (e[i23] - k,) + e[i23 + 1:]: c for e, c in R.terms.items()}))
 
 
 def cayley_plane_curve(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
@@ -368,8 +356,7 @@ def cayley_plane_curve(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
         raise DomainError("zero curve form")
     if ell.divides(Q):
         raise DomainError("degenerate cycle: plane form divides the curve form")
-    b = cycle_resultant_biform(Q, ell)
-    return rewrite_biform_to_plucker(b)
+    return PluckerForm.make(cycle_resultant_biform(Q, ell))
 
 
 def cayley_plane_curve_macaulay(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
@@ -417,13 +404,9 @@ def transform_FH(psi: PluckerForm, H) -> PluckerForm:
     if H == 0:
         raise DomainError("H must be nonzero")
     poly = psi.poly
-    subset = _vars_with_index(poly.names, 3)
-    idx = [poly.names.index(n) for n in subset]
-    out = {}
-    for e, c in poly.terms.items():
-        i = sum(e[j] for j in idx)
-        out[e] = c * H ** i
-    return PluckerForm.make(MultiPoly(poly.names, out))
+    idx = [poly.names.index(n) for n in _vars_with_index(poly.names, 3)]
+    return PluckerForm.make(MultiPoly(poly.names, {
+        e: c * H ** sum(e[j] for j in idx) for e, c in poly.terms.items()}))
 
 
 def transform_Ta(forms, a):

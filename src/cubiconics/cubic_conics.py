@@ -23,9 +23,8 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm, UV,
-                     cycle_resultant_biform, incidence_biform,
-                     rewrite_biform_to_plucker)
+from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm, canonical_mod_G,
+                     cycle_resultant_biform, divide_mod_G, incidence_form)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import eval_mod_p, ff_factor_linear, proj_points, reduce_mod_p
 from .multipoly import (MultiPoly, coefficients_in, embed, gcd_binary_forms,
@@ -386,9 +385,9 @@ def _pmono_exponent(pair):
 def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     """Symbolic family of residual-conic Cayley forms along the pencil.
 
-    Computes the Cayley form of the full plane section, strips the fixed
-    line's incidence form and the polynomial content in the parameters, and
-    descends to canonical line coordinates.
+    Computes the Cayley form of the full plane section in line coordinates,
+    divides out the fixed line's incidence form modulo the Grassmann
+    relation, and strips the polynomial content in the parameters.
 
     The enforced invariants are the ones every valid instance satisfies:
     all surviving coefficients are homogeneous of one common parameter
@@ -398,26 +397,19 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     conic over the pencil sweeps the cubic surface birationally, so a
     generic line meets deg X = 3 members and the honest degree is 3.
     """
-    f, L = surface.f, rline.line
-    ell_t = embed(MultiPoly.variable("t1", TPAR), T4 + TPAR) * embed(L.u, T4 + TPAR) \
-        + embed(MultiPoly.variable("t2", TPAR), T4 + TPAR) * embed(L.v, T4 + TPAR)
-    cycle = cycle_resultant_biform(embed(f, T4 + TPAR), ell_t, tvars=TPAR)
-    uvt = UV + TPAR
-    line_biform = embed(incidence_biform(L), uvt)
-    conic_b = cycle.exact_divide(line_biform)
+    ell_sym, Q_sym = residual_conic(surface, rline, None)
+    cycle = cycle_resultant_biform(embed(surface.f, T4 + TPAR), ell_sym, tvars=TPAR)
+    conic = canonical_mod_G(divide_mod_G(cycle, incidence_form(rline.line).poly))
     # polynomial content in the pencil parameters
-    coeffs = list(coefficients_in(conic_b, TPAR).values())
+    coeffs = list(coefficients_in(conic, TPAR).values())
     b_content = gcd_binary_forms(coeffs, TPAR)
-    conic_b = conic_b.exact_divide(embed(b_content, uvt))
-    psi = rewrite_biform_to_plucker(conic_b)
+    psi = PluckerForm.make(conic.exact_divide(embed(b_content, conic.names)))
     if psi.degree != 2:
         raise PropertyViolationError(
             f"conic Cayley family has Pluecker degree {psi.degree}, expected 2")
 
     groups = coefficients_in(psi.poly, TPAR)
-    b_ij = {}
-    for e in monomials_of_degree(6, 2):
-        b_ij[e] = groups.get(e, MultiPoly.zero(TPAR))
+    b_ij = {e: groups.get(e, MultiPoly.zero(TPAR)) for e in monomials_of_degree(6, 2)}
     live = [q for q in b_ij.values() if not q.is_zero()]
     degs = {q.total_degree() for q in live}
     for q in live:
@@ -434,7 +426,6 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
         if g.total_degree() != 0:
             raise PropertyViolationError(f"family coefficients share the factor {g}")
 
-    ell_sym, Q_sym = residual_conic(surface, rline, None)
     a_family = [b_ij[_pmono_exponent(pair)] for pair in A_MONOMIAL_ORDER]
     return ConicPencil(surface, rline, ell_sym, Q_sym, b_content, psi, b_ij,
                        a_family, family_degree)

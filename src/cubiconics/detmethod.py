@@ -9,10 +9,11 @@ space.  Each linear member of the system eliminates its graded-lex leading
 variable (its pivot), and at most one form f is left in the other variables.
 The degree-D monomials free of the pivots that the graded-lex leading
 monomial of f does not divide (the standard monomials) are a basis of the
-degree-D part of Q[T]/I(V), provided f is squarefree; that precondition is
-not checked.  A nonzero combination of standard monomials is its own
-remainder mod f, so it does not vanish on V: every nonzero kernel vector of
-the standard columns of the evaluation matrix is a witness.  Conversely, the
+degree-D part of Q[T]/I(V), provided f is squarefree; that is certified
+exactly on a line, and DomainError raised when no line certifies it.  A
+nonzero combination of standard monomials is its own remainder mod f, so it
+does not vanish on V: every nonzero kernel vector of the standard columns of
+the evaluation matrix is a witness.  Conversely, the
 remainder of any witness is such a vector, because the points lie on V.
 
 Both certificate legs are exact: vanishing at every point is checked in
@@ -30,6 +31,7 @@ and dimker_p = ideal_dim + #standard - rank mod p.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,12 @@ from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
 from .linalg import exact_kernel, rank_mod_p
-from .multipoly import MultiPoly, monomials_of_degree, restrict
+from .multipoly import (MultiPoly, embed, gcd_binary_forms,
+                        monomials_of_degree, restrict)
 from .pointcount import enumerate_projective, homogenize
 
 _SCAN_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
+_SQUAREFREE_LINES = 4
 
 
 @dataclass
@@ -132,7 +136,31 @@ def _quotient(forms, names):
         else:
             raise DomainError("auxiliary forms need at most one nonlinear form "
                               "besides the linear members")
+    if f is not None:
+        _certify_squarefree(f)
     return tuple(pivots), f
+
+
+def _certify_squarefree(f):
+    """Certify that f is squarefree, else raise DomainError.
+
+    On a line P + sQ, f restricts to a binary form g(s, u) = f(uP + sQ).  If
+    h^2 divides f, the square of h's restriction (of degree deg h, or zero)
+    divides g, and a repeated factor of g divides both partial derivatives.
+    So a nonzero g whose partials have a constant gcd proves f squarefree.
+    A few fixed integer lines are tried.
+    """
+    ring = f.names + ("_s", "_u")
+    s, u = (MultiPoly.variable(n, ring) for n in ring[-2:])
+    rng = random.Random(1)
+    for _ in range(_SQUAREFREE_LINES):
+        g = embed(f, ring).substitute({
+            n: rng.randint(-9, 9) * u + rng.randint(-9, 9) * s for n in f.names})
+        partials = [restrict(g.partial(n), ring[-2:]) for n in ring[-2:]]
+        if any(partials) and gcd_binary_forms(partials, ring[-2:]).total_degree() == 0:
+            return
+    raise DomainError(f"cannot certify that {f} is squarefree on "
+                      f"{_SQUAREFREE_LINES} lines")
 
 
 def _standard(monos, pivots, f):

@@ -84,10 +84,6 @@ class MultiPoly:
         e[i] = 1
         return cls(names, {tuple(e): _ONE})
 
-    @classmethod
-    def from_pairs(cls, names, pairs):
-        return cls(names, dict(pairs))
-
     # --- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -416,9 +412,6 @@ class MultiPoly:
         q = self.exact_divide(embed(g, self.names))
         cr, prim = q.rational_content()
         return embed(g, self.names) * cr, prim
-
-    def primitive(self, wrt=None) -> "MultiPoly":
-        return self.content_primitive(wrt)[1]
 
     # --- serialization -----------------------------------------------------
 

@@ -71,6 +71,20 @@ def test_auxiliary_form_refuses_points_off_the_variety():
         auxiliary_form([conic], P2, [(1, 0, 0), (1, 1, 0)], 2)
 
 
+def test_non_squarefree_form_is_refused():
+    # T2^2 cuts the line T2 = 0 twice: a witness such as T2 vanishes on V,
+    # so neither search may certify one
+    double = MultiPoly.parse("T2^2", P2)
+    collinear = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)]
+    with pytest.raises(DomainError, match="squarefree"):
+        minimal_omega([double], P2, 1)
+    with pytest.raises(DomainError, match="squarefree"):
+        auxiliary_form([double], P2, collinear, 2)
+    # a reducible but squarefree form passes the check
+    pair = MultiPoly.parse("T0*T1", P2)
+    assert minimal_omega([pair], P2, 1)["certificate"]["not_containing_variety"]
+
+
 def test_minimal_omega_line_and_conic():
     line = MultiPoly.parse("T2", P2)
     r = minimal_omega([line], P2, 1, constants=ExternalConstants())
