@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Cayley forms in line coordinates: incidence, two resultant routes, and
-the coordinate-change laws."""
+"""Cayley forms in line coordinates: incidence, the curve form at the line's
+meet with the plane checked against the Macaulay resultant oracle, and the
+coordinate-change laws."""
 import sys
 from fractions import Fraction
 from pathlib import Path

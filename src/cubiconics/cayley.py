@@ -7,14 +7,16 @@ polynomial in these coordinates cutting the locus of lines that meet it.
 
 Two computation routes are kept:
 
-* the primary elimination route, which never leaves Q[p, t]/(G): parameterize
-  the symbolic line in the chart p23 != 0, take the Sylvester resultant in
-  the parameters, reduce it modulo G with p02*p13 as the leading monomial,
-  strip the chart factor p23^(deg Q) by an exponent shift, and put the result
-  in canonical form.  A fixed linear factor (the incidence form of a line) is
-  divided out in the same ring by ``divide_mod_G``;
+* the primary route, one substitution: a line meets the plane ell = 0 in the
+  point Y_j = sum_i c_i pi_ij, where c_i is the coefficient of T_i in ell and
+  pi is the line's primal bivector (the coordinates of a point pair spanning
+  it, written in the p_ij).  The Cayley form of the plane curve V(ell, Q) is
+  Q(Y) modulo G (Gelfand, Kapranov and Zelevinsky, *Discriminants,
+  Resultants and Multidimensional Determinants*, ch. 3): no resultant, no
+  chart, and ell may be a family whose coefficients are forms in the pencil
+  parameters;
 * the full Macaulay resultant in a symbolic hyperplane pair, descended to
-  line coordinates by a linear solve, as a cross-check oracle.
+  line coordinates by a linear solve, as an independent oracle.
 
 All outputs are put in a canonical normal form: reduced modulo G so that no
 monomial is divisible by p01*p23, integer primitive, sign-normalized.  Raw
@@ -24,16 +26,14 @@ scalars are never compared across routes.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NonDivisibleError, NotFrameInvariantError
+from .errors import DomainError, NotFrameInvariantError
 from .heights import normalize_primitive_vector
 from .linalg import solve
-from .multipoly import (MultiPoly, embed, macaulay_resultant,
-                        monomials_of_degree, restrict,
-                        sylvester_resultant_generic)
+from .multipoly import (MultiPoly, coefficients_in, embed, macaulay_resultant,
+                        monomials_of_degree, restrict)
 
 T4 = ("T0", "T1", "T2", "T3")
 PLUCKER = ("p01", "p02", "p03", "p12", "p13", "p23")
@@ -41,6 +41,10 @@ UV = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
 TPAR = ("t1", "t2")
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the Hodge star: up to one common factor, the point-pair coordinate of a
+# line at _PAIRS[k] is _STAR[k] times its hyperplane-pair coordinate at
+# _PAIRS[5 - k]
+_STAR = (1, -1, 1, 1, -1, 1)
 
 
 def wedge_names(n: int):
@@ -54,101 +58,27 @@ def grassmann_relation(names=PLUCKER) -> MultiPoly:
     return MultiPoly.parse("p01*p23 - p02*p13 + p03*p12", names)
 
 
-# the monomials of G with their signs; any one of them can lead
-_G_TERMS = ((("p01", "p23"), 1), (("p02", "p13"), -1), (("p03", "p12"), 1))
-
-
-def _reduce_terms(terms, names, lead, todo):
-    """Rewrite in place, by G, each exponent of ``todo`` divisible by the
-    monomial ``lead`` of G, and each such exponent the rewriting writes.
-    Returns the other exponents met; those still in ``terms`` are reduced."""
-    s = dict(_G_TERMS)[lead]
-    i, j = (names.index(n) for n in lead)
-    rest = [((names.index(a), names.index(b)), -s * sm)
-            for (a, b), sm in _G_TERMS if (a, b) != lead]
-    kept = []
-    while todo:
-        e = todo.pop()
-        c = terms.pop(e, None) if e[i] and e[j] else None
-        if c is None:
-            kept.append(e)
-            continue
-        for (a, b), sm in rest:
-            e2 = tuple(x + (k in (a, b)) - (k in (i, j)) for k, x in enumerate(e))
-            cur = terms.pop(e2, 0) + sm * c
-            if cur:
-                terms[e2] = cur
-                todo.append(e2)
-    return kept
-
-
-def reduce_mod_G(poly: MultiPoly, lead=("p01", "p23")) -> MultiPoly:
-    """Normal form modulo G in which ``lead``, one of the three monomials of
-    G, divides no monomial.  Each choice of lead has its own normal form."""
-    terms = dict(poly.terms)
-    _reduce_terms(terms, poly.names, lead, list(terms))
-    return MultiPoly(poly.names, terms)
-
-
 def canonical_mod_G(poly: MultiPoly) -> MultiPoly:
     """Normal form modulo G: eliminate every monomial divisible by p01*p23
     (the graded-lex leading monomial of G) via p01*p23 -> p02*p13 - p03*p12."""
-    return reduce_mod_G(poly)
-
-
-def divide_mod_G(poly: MultiPoly, ell: MultiPoly) -> MultiPoly:
-    """A quotient C with poly == ell * C modulo G, for a linear form ell in
-    the line coordinates; other variables of poly (the pencil parameters)
-    act as coefficients.
-
-    Let v be the first line coordinate in ell and m the monomial of G free
-    of v.  Under the order by weight (2 on v and on m's variables, 1 on the
-    other line coordinates), ties broken lexicographically with v first, ell
-    leads with v and G with m.  Coprime leading monomials make {ell, G} a
-    Groebner basis, so the remainder of poly is 0 exactly when ell divides
-    it in Q[p, t]/(G); a leading term that v does not divide raises
-    NonDivisibleError.  C, unique modulo G, is returned unreduced.
-    """
     names = poly.names
-    ell = restrict(ell, PLUCKER)
-    if ell.total_degree() != 1 or not ell.is_homogeneous():
-        raise DomainError("divisor must be a nonzero linear form in the line coordinates")
-    lin = {names.index(PLUCKER[e.index(1)]): c for e, c in ell.terms.items()}
-    iv = min(lin)
-    cv = lin.pop(iv)
-    lead = next(m for m, _ in _G_TERMS if names[iv] not in m)
-    heavy = {iv} | {names.index(n) for n in lead}
-    weight = [2 if k in heavy else int(n in PLUCKER) for k, n in enumerate(names)]
-    order = [iv] + [k for k in range(len(names)) if k != iv]
-    r, q, heap = dict(poly.terms), {}, []
-
-    def settle(todo):  # G-reduce the exponents just written, queue the rest
-        for e in _reduce_terms(r, names, lead, todo):
-            if e in r:  # a min-heap in the reverse of the order
-                heapq.heappush(heap, ((-sum(w * x for w, x in zip(weight, e)),
-                                       [-e[k] for k in order]), e))
-
-    settle(list(r))
-    while r:
-        e = heapq.heappop(heap)[1]
-        c = r.pop(e, None)
-        if c is None:
-            continue  # cancelled or pushed twice
-        if not e[iv]:
-            r[e] = c
-            raise NonDivisibleError("linear form does not divide modulo G",
-                                    MultiPoly(names, r))
-        qe = e[:iv] + (e[iv] - 1,) + e[iv + 1:]
-        q[qe] = c / cv
-        new = []
-        for k, a in lin.items():
-            e2 = qe[:k] + (qe[k] + 1,) + qe[k + 1:]
-            cur = r.pop(e2, 0) - q[qe] * a
+    i, j = names.index("p01"), names.index("p23")
+    rest = (((names.index("p02"), names.index("p13")), 1),
+            ((names.index("p03"), names.index("p12")), -1))
+    terms = dict(poly.terms)
+    todo = list(terms)
+    while todo:
+        e = todo.pop()
+        if not (e[i] and e[j]) or e not in terms:
+            continue
+        c = terms.pop(e)
+        for (a, b), s in rest:
+            e2 = tuple(x + (k in (a, b)) - (k in (i, j)) for k, x in enumerate(e))
+            cur = terms.pop(e2, 0) + s * c
             if cur:
-                r[e2] = cur
-                new.append(e2)
-        settle(new)
-    return MultiPoly(names, q)
+                terms[e2] = cur
+                todo.append(e2)
+    return MultiPoly(names, terms)
 
 
 @dataclass(frozen=True)
@@ -240,7 +170,7 @@ def incidence_form(line: LineP3) -> PluckerForm:
     pairs)."""
     q = line.plucker
     # det[u;v;w;z] = p01 q23' - p02 q13' + p03 q12' + p12 q03' - p13 q02' + p23 q01'
-    coeffs = (q[5], -q[4], q[3], q[2], -q[1], q[0])
+    coeffs = [s * q[5 - k] for k, s in enumerate(_STAR)]
     return PluckerForm.make(MultiPoly(PLUCKER, {
         tuple(int(k == i) for k in range(6)): c for i, c in enumerate(coeffs)}))
 
@@ -313,49 +243,42 @@ def rewrite_biform_to_plucker(b: MultiPoly) -> PluckerForm:
 def cycle_resultant_biform(Q: MultiPoly, ell: MultiPoly, tvars=()) -> MultiPoly:
     """Cayley form of the cycle V(ell, Q) in P^3 as a polynomial in the line
     coordinates (and ``tvars``), reduced so that no monomial is divisible by
-    p01*p23, not yet primitive.  It returns a Pluecker polynomial, not a
-    biform; the name is kept because ``bench/tracing.py`` wraps it by name.
+    p01*p23, not yet primitive.  It is Q at the point where the line meets the
+    plane, and takes no resultant; the name is kept because
+    ``bench/tracing.py`` wraps it by name.
 
-    The resultant R of the parameterized line is p23^k * C modulo G, with
-    k = deg Q.  In the normal form with p02*p13 leading, multiplying by p23
-    keeps a normal form, so the normal form of R is p23^k times that of C:
-    every term carries p23^k, and C comes out by lowering the p23 exponent by
-    k.  A term with less raises DomainError.
+    The coefficient c_i of T_i in ell may be a form in ``tvars``.  The point
+    Y_j = sum_i c_i pi_ij, with pi the line's primal bivector, lies on the
+    plane because ell(Y) = sum c_i c_j pi_ij = 0 by antisymmetry, and on the
+    line; so Q(Y) vanishes exactly on the lines meeting V(ell, Q), unless ell
+    divides Q, when it is 0 modulo G and DomainError is raised.
     """
     tvars = tuple(tvars)
-    k = restrict(Q, T4 + tvars).degree_in(T4)
-    work_names = PLUCKER + ("S", "U") + tvars
-    # the symbolic line in the chart p23 != 0: (S, U) = (1, 0) is its point
-    # on T1 = 0 and (0, 1) its point on T0 = 0
-    p = {n: MultiPoly.variable(n, T4 + work_names) for n in work_names}
-    sub = {"T0": p["p23"] * p["S"], "T1": p["p23"] * p["U"],
-           "T2": -p["p03"] * p["S"] - p["p13"] * p["U"],
-           "T3": p["p02"] * p["S"] + p["p12"] * p["U"]}
-    Ls, Qs = (restrict(embed(restrict(g, T4 + tvars), T4 + work_names).substitute(sub),
-                       work_names) for g in (ell, Q))
-    R = sylvester_resultant_generic(Ls, Qs, ("S", "U"))
-    if R.is_zero():
-        raise DomainError("resultant vanished identically (degenerate cycle)")
-    R = reduce_mod_G(restrict(R, PLUCKER + tvars), ("p02", "p13"))
-    i23 = PLUCKER.index("p23")
-    if any(e[i23] < k for e in R.terms):
-        raise DomainError(f"resultant is not p23^{k} times a form modulo G")
-    return canonical_mod_G(MultiPoly(R.names, {
-        e[:i23] + (e[i23] - k,) + e[i23 + 1:]: c for e, c in R.terms.items()}))
+    ring = T4 + PLUCKER + tvars
+    ell = restrict(ell, T4 + tvars)
+    if ell.degree_in(T4) != 1 or not ell.is_homogeneous(T4):
+        raise DomainError("plane form must be linear in T0..T3")
+    c = {e.index(1): embed(ci, ring) for e, ci in coefficients_in(ell, tvars).items()}
+    p = [MultiPoly.variable(n, ring) for n in PLUCKER]
+    pi = {}
+    for k, (i, j) in enumerate(_PAIRS):
+        pi[i, j] = _STAR[k] * p[5 - k]
+        pi[j, i] = -pi[i, j]
+    Y = {f"T{j}": sum((ci * pi[i, j] for i, ci in c.items() if i != j), MultiPoly.zero(ring))
+         for j in range(4)}
+    QY = embed(restrict(Q, T4 + tvars), ring).substitute(Y)
+    out = canonical_mod_G(restrict(QY, PLUCKER + tvars))
+    if out.is_zero():
+        raise DomainError("curve form vanishes on the plane (degenerate cycle)")
+    return out
 
 
 def cayley_plane_curve(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
     """Canonical Cayley form of the plane curve V(ell, Q) in P^3.
 
-    Q is a degree-k form not divisible by ell; the result has degree k and
-    vanishes exactly on the lines meeting the curve.
+    Q is a degree-k form not divisible by ell (else DomainError); the result
+    has degree k and vanishes exactly on the lines meeting the curve.
     """
-    if ell.is_zero() or ell.total_degree() != 1:
-        raise DomainError("plane form must be linear and nonzero")
-    if Q.is_zero():
-        raise DomainError("zero curve form")
-    if ell.divides(Q):
-        raise DomainError("degenerate cycle: plane form divides the curve form")
     return PluckerForm.make(cycle_resultant_biform(Q, ell))
 
 

@@ -23,8 +23,8 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm, canonical_mod_G,
-                     cycle_resultant_biform, divide_mod_G, incidence_form)
+from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm,
+                     cycle_resultant_biform)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import eval_mod_p, ff_factor_linear, proj_points, reduce_mod_p
 from .multipoly import (MultiPoly, coefficients_in, embed, gcd_binary_forms,
@@ -385,9 +385,12 @@ def _pmono_exponent(pair):
 def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     """Symbolic family of residual-conic Cayley forms along the pencil.
 
-    Computes the Cayley form of the full plane section in line coordinates,
-    divides out the fixed line's incidence form modulo the Grassmann
-    relation, and strips the polynomial content in the parameters.
+    Computes the Cayley form of the residual conic V(ell_t, Q_t) in line
+    coordinates and parameters, and strips its polynomial content in the
+    parameters.  No division is needed: on the plane, the section's form f
+    at the line's meet Y is the fixed line's incidence form times Q_t(Y)
+    (the cycle identity t1*f = A*ell_t + Q_t*l2 read at Y), so the residual
+    conic's Cayley form is already free of it.
 
     The enforced invariants are the ones every valid instance satisfies:
     all surviving coefficients are homogeneous of one common parameter
@@ -398,8 +401,7 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     generic line meets deg X = 3 members and the honest degree is 3.
     """
     ell_sym, Q_sym = residual_conic(surface, rline, None)
-    cycle = cycle_resultant_biform(embed(surface.f, T4 + TPAR), ell_sym, tvars=TPAR)
-    conic = canonical_mod_G(divide_mod_G(cycle, incidence_form(rline.line).poly))
+    conic = cycle_resultant_biform(Q_sym, ell_sym, tvars=TPAR)
     # polynomial content in the pencil parameters
     coeffs = list(coefficients_in(conic, TPAR).values())
     b_content = gcd_binary_forms(coeffs, TPAR)

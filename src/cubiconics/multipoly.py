@@ -670,60 +670,28 @@ def det_poly(rows, names):
 # --- resultants ---------------------------------------------------------------
 
 
-def _binary_coeff_list(f: MultiPoly, pair):
-    """Coefficients of a form homogeneous in the two ``pair`` variables,
-    listed from the pure power of pair[0] down to the pure power of pair[1].
-    Coefficients are MultiPoly in the remaining variables of f's ring."""
-    x, y = pair
-    ix, iy = f.names.index(x), f.names.index(y)
-    rest = tuple(n for k, n in enumerate(f.names) if k not in (ix, iy))
-    d = f.degree_in(pair)
-    if d < 0:
-        raise DomainError("zero form in sylvester slot")
-    degs = set()
-    for e in f.terms:
-        degs.add(e[ix] + e[iy])
-    if degs != {d}:
-        raise DomainError("form is not homogeneous in the binary pair")
-    cs = [MultiPoly.zero(rest) for _ in range(d + 1)]
-    for e, c in f.terms.items():
-        outer = tuple(ei for k, ei in enumerate(e) if k not in (ix, iy))
-        cs[e[iy]] = cs[e[iy]] + MultiPoly(rest, {outer: c})
-    return cs, rest
-
-
-def sylvester_rows(fc, gc, zero=0):
+def sylvester_rows(fc, gc):
     """Sylvester matrix rows of two binary forms given by their coefficient
     lists, leading coefficient first."""
     m, n = len(fc) - 1, len(gc) - 1
-    return ([[zero] * k + list(fc) + [zero] * (n - 1 - k) for k in range(n)]
-            + [[zero] * k + list(gc) + [zero] * (m - 1 - k) for k in range(m)])
-
-
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, pair):
-    fc, rest = _binary_coeff_list(f, pair)
-    gc, _ = _binary_coeff_list(g, pair)
-    return sylvester_rows(fc, gc, MultiPoly.zero(rest)), rest
-
-
-def sylvester_resultant_generic(f: MultiPoly, g: MultiPoly, pair) -> MultiPoly:
-    """Resultant of two forms homogeneous in the ``pair`` variables, with
-    arbitrary polynomial coefficients; normalized so Res(x^m, y^n) = 1."""
-    rows, rest = sylvester_matrix(f, g, pair)
-    if not rows:
-        # both forms constant in the pair: resultant of degree-0 forms is 1
-        return MultiPoly.constant(1, rest)
-    return det_poly(rows, rest)
+    return ([[0] * k + list(fc) + [0] * (n - 1 - k) for k in range(n)]
+            + [[0] * k + list(gc) + [0] * (m - 1 - k) for k in range(m)])
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
-    """Classical Sylvester resultant of two numeric homogeneous binary forms."""
+    """Classical Sylvester resultant of two numeric homogeneous binary forms,
+    normalized so Res(x^m, y^n) = 1."""
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero form")
-    if len(f.names) != 2:
+    if len(f.names) != 2 or g.names != f.names:
         raise DomainError("binary forms expected (ring with two variables)")
-    r = sylvester_resultant_generic(f, g, f.names)
-    return r.coefficient(()) if not r.is_zero() else _ZERO
+    coeffs = []
+    for h in (f, g):
+        if not h.is_homogeneous():
+            raise DomainError("form is not homogeneous in the binary pair")
+        d = h.total_degree()
+        coeffs.append([h.terms.get((d - k, k), _ZERO) for k in range(d + 1)])
+    return det(sylvester_rows(*coeffs))
 
 
 def monomials_of_degree(nvars, d):

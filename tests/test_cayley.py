@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubiconics import cayley
-from cubiconics.cayley import (PLUCKER, T4, TPAR, UV, LineP3, PluckerForm,
+from cubiconics.cayley import (PLUCKER, T4, UV, LineP3, PluckerForm,
                                canonical_mod_G, cayley_degree_parts,
                                cayley_hypersurface, cayley_plane_curve,
-                               cayley_plane_curve_macaulay, divide_mod_G,
-                               grassmann_relation, incidence_form,
-                               minor_biforms, plucker_of_line, reduce_mod_G,
+                               cayley_plane_curve_macaulay, grassmann_relation,
+                               incidence_form, minor_biforms, plucker_of_line,
                                rewrite_biform_to_plucker, top_part_check,
                                transform_FH, transform_Ta)
-from cubiconics.errors import (DomainError, NonDivisibleError,
-                               NotFrameInvariantError)
+from cubiconics.errors import DomainError, NotFrameInvariantError
 from cubiconics.multipoly import MultiPoly, embed, monomials_of_degree, restrict
 
 
@@ -85,105 +82,6 @@ def test_canonical_mod_G():
     # no monomial divisible by p01*p23 in any canonical output
     i01, i23 = 0, 5
     assert all(not (e[i01] and e[i23]) for e in red.terms)
-
-
-def test_reduce_mod_G_any_lead():
-    f = MultiPoly.parse("p01*p23*p02*p13 + p03^2*p12^2", PLUCKER)
-    G = grassmann_relation()
-    forms = []
-    for lead in (("p01", "p23"), ("p02", "p13"), ("p03", "p12")):
-        red = reduce_mod_G(f, lead)
-        i, j = PLUCKER.index(lead[0]), PLUCKER.index(lead[1])
-        assert all(not (e[i] and e[j]) for e in red.terms)
-        forms.append(red)
-    assert forms[0] == canonical_mod_G(f)
-    # the three normal forms agree modulo G
-    assert all(canonical_mod_G(red) == forms[0] for red in forms[1:])
-    assert G.divides(forms[1] - forms[2])
-
-
-def _random_form(rng, d, names):
-    monos = monomials_of_degree(6, d)
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            t = (rng.randint(0, 1),) * (len(names) - 6)
-            terms[monos[rng.randrange(len(monos))] + t] = rng.randint(-4, 4)
-        f = MultiPoly(names, terms)
-        if not f.is_zero():
-            return f
-
-
-def _lines_by_pivot(rng, per_pivot):
-    """Random lines grouped by the first line coordinate that has a nonzero
-    coefficient in their incidence form (the pivot of divide_mod_G)."""
-    out = {n: [] for n in PLUCKER}
-    while any(len(v) < per_pivot for v in out.values()):
-        u = MultiPoly(T4, {tuple(int(i == k) for i in range(4)):
-                           rng.choice((0, 0, 1, -1, 2, -3)) for k in range(4)})
-        v = MultiPoly(T4, {tuple(int(i == k) for i in range(4)):
-                           rng.choice((0, 0, 1, -1, 2, -3)) for k in range(4)})
-        try:
-            L = LineP3.make(u, v)
-        except (DomainError, AssertionError):
-            continue
-        ell = incidence_form(L).poly
-        pivot = next(n for n in PLUCKER if ell.coefficient(
-            tuple(int(k == n) for k in PLUCKER)))
-        if len(out[pivot]) < per_pivot:
-            out[pivot].append(ell)
-    return out
-
-
-def test_divide_mod_G_every_pivot():
-    # (ell * C mod G) / ell == C mod G, with each of the six coordinates as
-    # the pivot, with and without the pencil parameters as coefficients
-    rng = random.Random(41)
-    for pivot, ells in _lines_by_pivot(rng, 4).items():
-        for ell in ells:
-            for names in (PLUCKER, PLUCKER + TPAR):
-                for d in (1, 2, 3):
-                    C = _random_form(rng, d, names)
-                    prod = canonical_mod_G(embed(ell, names) * C)
-                    q = divide_mod_G(prod, ell)
-                    assert canonical_mod_G(q) == canonical_mod_G(C), (pivot, ell, C)
-
-
-def test_divide_mod_G_rejects_non_multiples():
-    p01 = MultiPoly.parse("p01", PLUCKER)
-    with pytest.raises(NonDivisibleError):
-        divide_mod_G(MultiPoly.parse("p02", PLUCKER), p01)
-    # p02*p13 = p01*p23 + p03*p12 mod G, and p03*p12 is not a multiple of p01
-    with pytest.raises(NonDivisibleError):
-        divide_mod_G(MultiPoly.parse("p02*p13", PLUCKER), p01)
-    rng = random.Random(43)
-    for ells in _lines_by_pivot(rng, 2).values():
-        for ell in ells:
-            C = _random_form(rng, 2, PLUCKER)
-            # p_j^3 does not vanish on V(ell, G) unless ell is a multiple of p_j
-            j = next(i for i, n in enumerate(PLUCKER)
-                     if ell != MultiPoly.variable(n, PLUCKER))
-            extra = MultiPoly.variable(PLUCKER[j], PLUCKER) ** 3
-            with pytest.raises(NonDivisibleError):
-                divide_mod_G(canonical_mod_G(ell * C + extra), ell)
-    with pytest.raises(DomainError):
-        divide_mod_G(p01, MultiPoly.parse("p01*p02", PLUCKER))
-
-
-def test_cycle_resultant_needs_full_chart_power(monkeypatch):
-    # a resultant that is not p23^k times a form modulo G is refused
-    real = cayley.sylvester_resultant_generic
-
-    def tampered(f, g, pair):
-        R = real(f, g, pair)
-        return R + MultiPoly.variable("p12", R.names) ** R.total_degree()
-
-    Q = MultiPoly.parse("T2^2 - T2*T3 + T3^2", T4)
-    ell = MultiPoly.parse("T0 + T1", T4)
-    assert cayley.cycle_resultant_biform(Q, ell).names == PLUCKER
-    monkeypatch.setattr(cayley, "sylvester_resultant_generic", tampered)
-    with pytest.raises(DomainError, match="p23"):
-        cayley.cycle_resultant_biform(Q, ell)
 
 
 @st.composite

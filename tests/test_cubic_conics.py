@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cubiconics import cubic_conics
-from cubiconics.cayley import T4, TPAR, cayley_plane_curve
+from cubiconics.cayley import (T4, TPAR, cayley_plane_curve,
+                               cayley_plane_curve_macaulay)
 from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
                                      absolutely_irreducible_cubic_mod_p,
                                      census_cutoff_constant, classify_cubic,
@@ -202,6 +203,22 @@ def test_specialization_coherence(fermat_surface, fermat_line, fermat_pencil):
         ell, Q = residual_conic(fermat_surface, fermat_line, t)
         direct = cayley_plane_curve(Q, ell)
         assert fermat_pencil.specialize(*t).poly == direct.poly
+
+
+@pytest.mark.parametrize("case", ["fermat", "corpus_06"])
+def test_pencil_matches_macaulay_oracle(case, fermat_surface, fermat_line,
+                                        fermat_pencil, corpus_forms):
+    # the Macaulay route shares no step with the substitution that builds
+    # the pencil, so this catches a wrong sign or index in either
+    if case == "fermat":
+        surf, line, pencil = fermat_surface, fermat_line, fermat_pencil
+    else:
+        surf = CubicSurface.make(corpus_forms[5])
+        line = find_lines(surf, 1)[0]
+        pencil = conic_family(surf, line)
+    for t in ((1, 0), (0, 1), (2, -3)):
+        ell, Q = residual_conic(surf, line, t)
+        assert pencil.specialize(*t).poly == cayley_plane_curve_macaulay(Q, ell).poly
 
 
 def test_leading_family(fermat_pencil):

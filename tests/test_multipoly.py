@@ -119,8 +119,17 @@ def test_sylvester_resultant():
                                MultiPoly.parse("T0 + T1", B2)) == 2
     f = MultiPoly.parse("T0^2 + T1^2", B2)
     assert sylvester_resultant(f, f) == 0
+    # a degree-0 slot: Res(c, g) = c^deg(g)
+    assert sylvester_resultant(MultiPoly.constant(3, B2), f) == 9
+    assert sylvester_resultant(MultiPoly.parse("1/2*T0 + T1", B2),
+                               MultiPoly.parse("T0", B2)) == Fraction(-1)
     with pytest.raises(DomainError):
         sylvester_resultant(MultiPoly.zero(B2), f)
+    with pytest.raises(DomainError):
+        sylvester_resultant(MultiPoly.parse("T0^2 + T1", B2), f)
+    V3 = ("T0", "T1", "T2")
+    with pytest.raises(DomainError):
+        sylvester_resultant(MultiPoly.parse("T0", V3), MultiPoly.parse("T1", V3))
 
 
 def test_macaulay_normalization_and_zero():

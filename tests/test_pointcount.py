@@ -20,20 +20,27 @@ P2 = ("T0", "T1", "T2")
 A3 = ("T1", "T2", "T3")
 
 
-def brute_projective(forms, names, B):
+def _int_forms(forms, names):
     # each form as (coordinate indices, [(exponents, integer coefficient)]),
-    # denominators cleared, evaluated on plain ints below
+    # denominators cleared, evaluated on plain ints by _vanishes
     int_forms = []
     for f in forms:
         den = lcm(*(c.denominator for c in f.terms.values()))
         idx = [names.index(n) for n in f.names]
         int_forms.append((idx, [(e, int(c * den)) for e, c in f.terms.items()]))
+    return int_forms
+
+
+def _vanishes(int_forms, raw):
+    return not any(sum(c * prod(raw[i] ** k for i, k in zip(idx, e)) for e, c in terms)
+                   for idx, terms in int_forms)
+
+
+def brute_projective(forms, names, B):
+    int_forms = _int_forms(forms, names)
     pts = set()
     for raw in itertools.product(range(-B, B + 1), repeat=len(names)):
-        if all(v == 0 for v in raw):
-            continue
-        if any(sum(c * prod(raw[i] ** k for i, k in zip(idx, e)) for e, c in terms)
-               for idx, terms in int_forms):
+        if all(v == 0 for v in raw) or not _vanishes(int_forms, raw):
             continue
         g = 0
         for v in raw:
@@ -44,6 +51,13 @@ def brute_projective(forms, names, B):
             pt = tuple(-v for v in pt)
         pts.add(pt)
     return pts
+
+
+def brute_affine(forms, names, B, norm):
+    int_forms = _int_forms(forms, names)
+    return [raw for raw in itertools.product(range(-B, B + 1), repeat=len(names))
+            if (norm == "max" or sum(v * v for v in raw) <= B * B)
+            and _vanishes(int_forms, raw)]
 
 
 def test_p1_full():
@@ -134,11 +148,41 @@ def _case(text, names, var, B):
                P2, "T2", 4))  # (T2 - T0)^2 (T2 + T1)
 @example(_case("T3^3 + T1*T3^2 - 2*T0*T3^2 - 2*T0*T1*T3 + T0^2*T3"
                " + T0^2*T1 + T2^3 - T0^2*T2", T4, "T3", 3))
+# triple roots: (T2 - T1)^3 on every fiber, (T3 - T1)^3 on the fibers
+# where T2 (T0^2 - T2^2) vanishes
+@example(_case("T2^3 - 3*T1*T2^2 + 3*T1^2*T2 - T1^3", P2, "T2", 4))
+@example(_case("T3^3 - 3*T1*T3^2 + 3*T1^2*T3 - T1^3 + T0^2*T2 - T2^3", T4, "T3", 3))
+# quartics of degree 3 in the solved variable: c3 = T0 vanishes on the
+# fibers T0 = 0, c2 = T1^2 on T0 = T1 = 0
+@example(_case("T0*T2^3 + T1^2*T2^2 - T0^3*T2 + T1^4 - T0^4", P2, "T2", 4))
+@example(_case("T0*T3^3 + T1^2*T3^2 - T2^3*T3 + T1^4 - T0*T2^3", T4, "T3", 3))
 def test_projective_matches_brute_exactly(case):
     f, names, var, B = case
     r = enumerate_projective([f], names, B, solve_var=var)
     # the exact tuple: sorted, and each point class once
     assert r.points == tuple(sorted(brute_projective([f], names, B)))
+    assert r.count == len(r.points)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(projective_case(), st.integers(-3, 3), st.sampled_from(("euclidean", "max")))
+# triple roots: (T2 - T1)^3 on every fiber, (T2 - T1)^3 + T0*T1 on the
+# fibers where T0*T1 vanishes
+@example(_case("T2^3 - 3*T1*T2^2 + 3*T1^2*T2 - T1^3", P2, "T2", 4), 0, "max")
+@example(_case("T2^3 - 3*T1*T2^2 + 3*T1^2*T2 - T1^3 + T0*T1", P2, "T2", 4), 0, "max")
+# c3 = T1 vanishes on the fibers T1 = 0, c2 = T0 on T0 = T1 = 0
+@example(_case("T1*T2^3 + T0*T2^2 - T0*T2 - T1^2", P2, "T2", 4), 0, "euclidean")
+@example(_case("T1*T3^3 + T0*T3^2 - T2*T3 + T1*T2", T4, "T3", 3), 0, "max")
+def test_affine_matches_brute_exactly(case, shift, norm):
+    # the affine twin: an inhomogeneous system (constant term ``shift``),
+    # the solved variable last
+    f, names, var, B = case
+    f = f - MultiPoly.constant(shift, names)
+    if f.is_zero():
+        return
+    names = tuple(n for n in names if n != var) + (var,)
+    r = enumerate_affine([f], names, B, norm=norm)
+    assert r.points == tuple(brute_affine([f], names, B, norm))
     assert r.count == len(r.points)
 
 
