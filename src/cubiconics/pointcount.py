@@ -4,9 +4,11 @@ Projective points are primitive integer tuples with the first nonzero
 coordinate positive, counted one representative per sign class; the height
 is the max coordinate magnitude.  Affine (integral) points live in the
 euclidean ball.  Enumeration fixes all coordinates but one and solves the
-remaining univariate equation: float root isolation (vectorized Cardano)
-proposes candidates, exact integer arithmetic verifies them, so results are
-exact while the scan stays fast.  The projective scan needs homogeneous
+remaining univariate equation of degree at most 3 in exact integers,
+vectorized over the fibers: its critical points cut the range into pieces on
+which it is monotone, an integer bisection finds the one root a piece can
+hold, and an exact zero proves it, so no float rounding can drop or invent a
+point.  The projective scan needs homogeneous
 forms: it covers only the half of the prefix box whose first nonzero entry
 is positive, so each point class is hit once, and it keeps the primitive
 rows and fixes their sign in numpy, chunk by chunk.
@@ -52,6 +54,11 @@ def _check_budget(nvars: int, B: float, budget: float | None):
         raise BudgetError(f"B={B} exceeds enumeration budget {cap}")
 
 
+def _absmax(a):
+    """Largest entry magnitude of an integer array (0 when it is empty)."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
 def _np_eval(poly: MultiPoly, arrays: dict):
     """Evaluate a polynomial with integer coefficients on int64 arrays.
 
@@ -64,8 +71,7 @@ def _np_eval(poly: MultiPoly, arrays: dict):
     if any(c.denominator != 1 for c in poly.terms.values()):
         raise DomainError(f"non-integer coefficient in {poly}")
     shape = next(iter(arrays.values())).shape
-    X = max((max(-int(a.min()), int(a.max())) for a in arrays.values() if a.size),
-            default=0)
+    X = max(map(_absmax, arrays.values()), default=0)
     if sum(abs(int(c)) * X ** sum(e) for e, c in poly.terms.items()) < 1 << 62:
         dtype = np.int64
     else:
@@ -93,69 +99,17 @@ def _coeff_polys(form: MultiPoly, var: str):
     return [MultiPoly(form.names, t) for t in terms]
 
 
-def _cubic_real_roots(c3, c2, c1, c0):
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0 elementwise),
-    returned as three float arrays.  Where one real root is found, the other
-    two slots hold the double root the cubic would have if rounding had
-    pushed a zero discriminant below 0."""
-    a = c3.astype(np.float64)
-    b = c2.astype(np.float64)
-    c = c1.astype(np.float64)
-    d = c0.astype(np.float64)
-    shift = b / (3 * a)
-    p = (3 * a * c - b * b) / (3 * a * a)
-    q = (2 * b ** 3 - 9 * a * b * c + 27 * a * a * d) / (27 * a ** 3)
-    disc = -4 * p ** 3 - 27 * q * q
-    roots = np.empty((3,) + a.shape, dtype=np.float64)
-    one = disc < 0
-    if one.any():
-        s = np.sqrt(np.maximum(q[one] ** 2 / 4 + p[one] ** 3 / 27, 0.0))
-        u = np.cbrt(-q[one] / 2 + s)
-        v = np.cbrt(-q[one] / 2 - s)
-        roots[0][one] = u + v - shift[one]
-        roots[1][one] = -(u + v) / 2 - shift[one]
-        roots[2][one] = roots[1][one]
-    three = ~one           # disc >= 0 forces p <= 0
-    if three.any():
-        p3, q3, sh3 = p[three], q[three], shift[three]
-        neg = p3 < 0
-        vals = np.empty((3, p3.size))
-        if neg.any():
-            r = 2 * np.sqrt(-p3[neg] / 3)
-            arg = np.clip(3 * q3[neg] / (p3[neg] * r), -1.0, 1.0)
-            theta = np.arccos(arg) / 3
-            for k in range(3):
-                vals[k][neg] = r * np.cos(theta - 2 * math.pi * k / 3) - sh3[neg]
-        if (~neg).any():   # p == 0 and disc >= 0 mean q == 0: triple root
-            for k in range(3):
-                vals[k][~neg] = -sh3[~neg]
-        for k in range(3):
-            roots[k][three] = vals[k]
-    return roots
-
-
-def _quadratic_real_roots(c2, c1, c0):
-    a = c2.astype(np.float64)
-    b = c1.astype(np.float64)
-    c = c0.astype(np.float64)
-    disc = b * b - 4 * a * c
-    ok = disc >= 0
-    s = np.sqrt(np.where(ok, disc, 0.0))
-    r1 = np.where(ok, (-b + s) / (2 * a), np.nan)
-    r2 = np.where(ok, (-b - s) / (2 * a), np.nan)
-    return [r1, r2]
-
-
 def _solve_form_coeffs(forms, var):
-    """Coefficients in ``var`` of the form of least degree in ``var``: the
-    equation each fiber solves.  None for the empty system; DomainError when
+    """The equation each fiber solves, the form of least degree in ``var``:
+    its coefficients in ``var``, and the other forms, which each solution
+    must also satisfy.  (None, []) for the empty system; DomainError when
     that degree exceeds 3, which the fiber solver does not handle."""
     if not forms:
-        return None
-    f = min(forms, key=lambda f: f.degree_in([var]))
-    if f.degree_in([var]) > 3:
+        return None, []
+    i = min(range(len(forms)), key=lambda i: forms[i].degree_in([var]))
+    if forms[i].degree_in([var]) > 3:
         raise DomainError(f"every form has degree > 3 in the solved variable {var}")
-    return _coeff_polys(f, var)
+    return _coeff_polys(forms[i], var), forms[:i] + forms[i + 1:]
 
 
 def _vanish(forms, arrays):
@@ -166,76 +120,124 @@ def _vanish(forms, arrays):
     return ok
 
 
-def _solve_fibers(coeffs, forms, var, prefix_arrays, xcap):
-    """All integer values x of ``var`` with |x| <= xcap solving every form on
-    the given prefix fibers, where ``coeffs`` come from _solve_form_coeffs.
-    Returns (fiber_index_array, x_array) plus the fibers where the solve
-    form vanishes identically; an x may repeat within a fiber."""
-    coeffs = [_np_eval(cp, prefix_arrays) for cp in coeffs]
-    while len(coeffs) < 4:
-        coeffs.append(np.zeros_like(coeffs[0]))
-    c0, c1, c2, c3 = coeffs[:4]
-    cand_fibers = []
-    cand_x = []
+def _isqrt(D):
+    """Elementwise floor square root of a nonnegative integer array: a float
+    sqrt corrected by one integer step on each side in int64 (entries below
+    2^62), math.isqrt on Python integers."""
+    if D.dtype == object:
+        return np.array([math.isqrt(int(d)) for d in D], dtype=object)
+    s = np.sqrt(D.astype(np.float64)).astype(np.int64)
+    s -= s * s > D
+    s += (s + 1) * (s + 1) <= D
+    return s
 
-    deg3 = c3 != 0
-    deg2 = (~deg3) & (c2 != 0)
-    deg1 = (~deg3) & (~deg2) & (c1 != 0)
-    deg0 = (~deg3) & (~deg2) & (~deg1)
 
-    if deg3.any():
-        idx = np.nonzero(deg3)[0]
-        roots = _cubic_real_roots(c3[idx], c2[idx], c1[idx], c0[idx])
-        for r in roots:
-            base = np.round(np.nan_to_num(r, nan=1e18, posinf=1e18,
-                                          neginf=-1e18)).astype(np.int64)
-            for off in (-1, 0, 1):
-                cand_fibers.append(idx)
-                cand_x.append(base + off)
-    if deg2.any():
-        idx = np.nonzero(deg2)[0]
-        for r in _quadratic_real_roots(c2[idx], c1[idx], c0[idx]):
-            good = np.isfinite(r)
-            base = np.round(np.where(good, r, 0.0)).astype(np.int64)
-            for off in (-1, 0, 1):
-                cand_fibers.append(idx[good])
-                cand_x.append(base[good] + off)
-    if deg1.any():
-        idx = np.nonzero(deg1)[0]
-        exact = c0[idx] % c1[idx] == 0
-        x = -(c0[idx] // c1[idx])
-        cand_fibers.append(idx[exact])
-        cand_x.append(x[exact])
+def _horner(c, x):
+    """c3 x^3 + c2 x^2 + c1 x + c0 elementwise, c = [c0, c1, c2, c3]."""
+    c0, c1, c2, c3 = c
+    return ((c3 * x + c2) * x + c1) * x + c0
 
-    identically_zero = np.nonzero(deg0 & (c0 == 0))[0]
 
-    if cand_fibers:
-        fib = np.concatenate(cand_fibers)
-        xs = np.concatenate(cand_x)
-    else:
-        fib = np.empty(0, dtype=np.int64)
-        xs = np.empty(0, dtype=np.int64)
-    keep = np.abs(xs) <= xcap
-    fib, xs = fib[keep], xs[keep]
-    # exact verification on every form
-    if len(fib):
+def _monotone_roots(c, xcap):
+    """Integer roots x, |x| <= xcap, of the fiber polynomials
+    c3 x^3 + c2 x^2 + c1 x + c0, c = [c0, c1, c2, c3] with c3 or c2 nonzero
+    on each fiber.  Returns (fiber_index_array, x_array), each root once.
+
+    The floors a1 <= a2 of the critical points cut [-xcap, xcap] into the
+    integer pieces [-xcap, a1], [a1 + 1, a2] and [a2 + 1, xcap], on each of
+    which the fiber is strictly monotone, so a piece holds at most one root.
+    A lower-bound integer bisection finds it and an exact zero proves it.
+    Arithmetic runs in int64 below the 2^62 rule of _np_eval, on Python
+    integers above it.
+    """
+    lead = np.where(c[3] != 0, c[3], c[2])
+    sign = np.where(lead < 0, -1, 1)
+    c = [a * sign for a in c]   # same roots, lead > 0
+    dt = np.int64 if 4 * max(map(_absmax, c[1:])) ** 2 < 1 << 62 else object
+    c1, c2, c3 = (a.astype(dt, copy=False) for a in c[1:])
+    cubic = c3 != 0
+    # p' = 3 c3 x^2 + 2 c2 x + c1 has roots (-c2 +- sqrt(D)) / (3 c3), or
+    # -c1 / (2 c2) for a quadratic; with s = isqrt(D) the floor of the lower
+    # root is (-c2 - s - 1) // (3 c3) unless D is a square
+    D = c2 * c2 - 3 * c3 * c1
+    two = cubic & (D > 0)
+    s = _isqrt(np.where(two, D, 0))
+    den = np.where(cubic, 3 * c3, 2 * c2)
+    a1 = np.where(cubic, -c2 - s - (s * s != D).astype(dt), -c1) // den
+    a2 = np.where(cubic, -c2 + s, -c1) // den
+    # a cubic with at most one critical point is monotone on the whole box
+    a1, a2 = (np.clip(np.where(cubic & ~two, xcap, a), -xcap - 1, xcap).astype(np.int64)
+              for a in (a1, a2))
+
+    bound = sum(_absmax(a) * (xcap + 1) ** k for k, a in enumerate(c))
+    c = [a.astype(np.int64 if bound < 1 << 62 else object, copy=False) for a in c]
+    n = len(a1)
+    fib = np.tile(np.arange(n), 3)
+    lo = np.concatenate([np.full(n, -xcap), a1 + 1, a2 + 1])
+    hi = np.concatenate([a1, a2, np.full(n, xcap)])
+    live = lo <= hi
+    fib, lo, hi = fib[live], lo[live], hi[live]
+    c = [a[fib] for a in c]
+    plo, phi = _horner(c, lo), _horner(c, hi)
+    # keep the pieces with 0 between their ends, each turned increasing
+    keep = np.sign(plo) * np.sign(phi) <= 0
+    fib, lo, hi = fib[keep], lo[keep], hi[keep]
+    turn = np.where(plo[keep] > phi[keep], -1, 1)
+    c = [a[keep] * turn for a in c]
+    # least x in [lo, hi] with p(x) >= 0, given p(hi) >= 0: steps of 2^k,
+    # k descending, move ``below`` up while p stays < 0 there, and together
+    # they span 2 xcap, the longest piece
+    below = lo - 1
+    for k in reversed(range((2 * xcap).bit_length())):
+        x = np.minimum(below + (1 << k), hi)
+        below = np.where(_horner(c, x) < 0, x, below)
+    root = _horner(c, below + 1) == 0
+    return fib[root], below[root] + 1
+
+
+def _solve_fibers(coeffs, rest, var, prefix_arrays, xcap):
+    """All integer values x of ``var`` with |x| <= xcap on the given prefix
+    fibers that solve the solve form, whose coefficients ``coeffs`` come from
+    _solve_form_coeffs, and every form in ``rest``.  Returns
+    (fiber_index_array, x_array), each solution once, plus the fibers where
+    the solve form vanishes identically.  The solve form holds exactly at
+    every returned x; only the forms in ``rest`` are evaluated there."""
+    c = [_np_eval(cp, prefix_arrays) for cp in coeffs]
+    c += [np.zeros_like(c[0])] * (4 - len(c))
+    c0, c1, c2, c3 = c
+    curved = (c3 != 0) | (c2 != 0)
+    linear = ~curved & (c1 != 0)
+    identically_zero = np.nonzero(~curved & (c1 == 0) & (c0 == 0))[0]
+
+    idx = np.nonzero(curved)[0]
+    fib, xs = _monotone_roots([a[idx] for a in c], xcap)
+    fibs, xss = [idx[fib]], [xs]
+    idx = np.nonzero(linear)[0]
+    c0, c1 = c0[idx], c1[idx]
+    x = -(c0 // c1)
+    exact = (c0 % c1 == 0) & (abs(x) <= xcap)
+    fibs.append(idx[exact])
+    xss.append(x[exact].astype(np.int64))
+    fib, xs = np.concatenate(fibs), np.concatenate(xss)
+    if rest and len(fib):
         arrays = {k: v[fib] for k, v in prefix_arrays.items()}
         arrays[var] = xs
-        ok = _vanish(forms, arrays)
+        ok = _vanish(rest, arrays)
         fib, xs = fib[ok], xs[ok]
     return fib, xs, identically_zero
 
 
-def _fiber_points(forms, coeffs, names, var, prefix, xcap):
+def _fiber_points(rest, coeffs, names, var, prefix, xcap):
     """Every integer solution with |var| <= xcap over the prefix fibers, as
-    rows in ``names`` order plus the fiber index of each row.  Each row is
-    verified exactly on every form; a row may repeat."""
+    rows in ``names`` order plus the fiber index of each row, each solution
+    once.  ``coeffs`` and ``rest`` split the system as _solve_form_coeffs
+    does."""
     n = len(next(iter(prefix.values())))
     if coeffs is None:
         fib = xs = np.empty(0, dtype=np.int64)
         ident = np.arange(n)
     else:
-        fib, xs, ident = _solve_fibers(coeffs, forms, var, prefix, xcap)
+        fib, xs, ident = _solve_fibers(coeffs, rest, var, prefix, xcap)
     # fibers where the solve form vanishes identically: try every x, in
     # batches of at most CHUNK_FIBERS (fiber, x) pairs
     xr = np.arange(-xcap, xcap + 1, dtype=np.int64)
@@ -246,7 +248,7 @@ def _fiber_points(forms, coeffs, names, var, prefix, xcap):
         x = np.tile(xr, len(f) // len(xr))
         arrays = {k: v[f] for k, v in prefix.items()}
         arrays[var] = x
-        ok = _vanish(forms, arrays)
+        ok = _vanish(rest, arrays)
         fibs.append(f[ok])
         xss.append(x[ok])
     fib, xs = np.concatenate(fibs), np.concatenate(xss)
@@ -317,16 +319,16 @@ def enumerate_projective(forms, names, B, budget: float | None = None,
 
     var = solve_var or names[-1]
     others = [n for n in names if n != var]
-    coeffs = _solve_form_coeffs(forms, var)
+    coeffs, rest = _solve_form_coeffs(forms, var)
     # the zero prefix holds one point class, the unit point of var
     unit = np.array([[int(n == var) for n in names]], dtype=np.int64)
     found = [unit if all(f.evaluate(unit[0].tolist()) == 0 for f in forms) else unit[:0]]
     for chunk in _prefix_chunks(len(others), B, half=True):
-        rows, _ = _fiber_points(forms, coeffs, names, var, dict(zip(others, chunk)), B)
+        rows, _ = _fiber_points(rest, coeffs, names, var, dict(zip(others, chunk)), B)
         rows = rows[np.gcd.reduce(np.abs(rows), axis=1) == 1]
         rows *= _lead_sign(rows)[:, None]
         found.append(rows)
-    # the +-1 widening of the float roots can propose one x twice in a fiber
+    # each point class is found once; np.unique only sorts the rows
     pts = np.unique(np.concatenate(found), axis=0)
     return CountResult(len(pts), tuple(map(tuple, pts.tolist())), True)
 
@@ -352,11 +354,11 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
     B2 = int(math.floor(B * B))
     var = names[-1]
     others = names[:-1]
-    coeffs = _solve_form_coeffs(forms, var)
+    coeffs, rest = _solve_form_coeffs(forms, var)
     found = [np.empty((0, len(names)), dtype=np.int64)]
     for arrays in _prefix_chunks(len(others), Bi):
         if norm == "max":
-            rows, _ = _fiber_points(forms, coeffs, names, var,
+            rows, _ = _fiber_points(rest, coeffs, names, var,
                                     dict(zip(others, arrays)), Bi)
         else:
             norm2 = sum(a * a for a in arrays)
@@ -364,7 +366,7 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
             if not keep.any():
                 continue
             room = B2 - norm2[keep]
-            rows, fib = _fiber_points(forms, coeffs, names, var,
+            rows, fib = _fiber_points(rest, coeffs, names, var,
                                       {n: a[keep] for n, a in zip(others, arrays)},
                                       math.isqrt(int(room.max())))
             rows = rows[rows[:, -1] ** 2 <= room[fib]]

@@ -109,21 +109,26 @@ def test_exactness_small_B_rescan():
 
 @st.composite
 def projective_case(draw):
-    """A small-coefficient cubic in 3 or 4 variables: sparse random terms,
-    or a product of random linear forms (many points, double roots and
-    identically-zero fibers), with a solve variable and a small B."""
+    """A cubic in 3 or 4 variables: sparse random terms, or a product of
+    random linear forms (many points, double roots and identically-zero
+    fibers) with small coefficients, or with one coefficient near +-10^k,
+    k = 6..12 (fiber roots of widely different sizes), with a solve variable
+    and a small B."""
     names = T4[:draw(st.sampled_from((3, 4)))]
     nv = len(names)
     coeff = st.integers(-3, 3)
-    shape = draw(st.sampled_from(("terms", "lines")))
+    shape = draw(st.sampled_from(("terms", "lines", "scaled")))
     if shape == "terms":
         monos = [e for e in itertools.product(range(4), repeat=nv) if sum(e) == 3]
         terms = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=6))
         f = MultiPoly(names, terms)
     else:
+        rows = [draw(st.lists(coeff, min_size=nv, max_size=nv)) for _ in range(3)]
+        if shape == "scaled":
+            rows[draw(st.integers(0, 2))][draw(st.integers(0, nv - 1))] = \
+                draw(st.sampled_from((-1, 1))) * 10 ** draw(st.integers(6, 12)) + draw(coeff)
         f = MultiPoly.constant(1, names)
-        for _ in range(3):
-            row = draw(st.lists(coeff, min_size=nv, max_size=nv))
+        for row in rows:
             f = f * MultiPoly(names, {tuple(int(i == j) for j in range(nv)): c
                                       for i, c in enumerate(row)})
     if f.is_zero():
@@ -133,6 +138,13 @@ def projective_case(draw):
 
 def _case(text, names, var, B):
     return MultiPoly.parse(text, names), names, var, B
+
+
+def _product_case(factors, names, var, B):
+    f = MultiPoly.constant(1, names)
+    for text in factors:
+        f = f * MultiPoly.parse(text, names)
+    return f, names, var, B
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -156,6 +168,11 @@ def _case(text, names, var, B):
 # fibers T0 = 0, c2 = T1^2 on T0 = T1 = 0
 @example(_case("T0*T2^3 + T1^2*T2^2 - T0^3*T2 + T1^4 - T0^4", P2, "T2", 4))
 @example(_case("T0*T3^3 + T1^2*T3^2 - T2^3*T3 + T1^4 - T0*T2^3", T4, "T3", 3))
+# roots of widely different sizes, whose small ones float root formulas lose:
+# 49 points at B = 6 with the cubic's roots 5 T0 and -10^9 T0 on each fiber,
+# 14 with the quadratic's 5 T0 and -10^17 T0
+@example(_product_case(("T2 - 5*T0", "T2 + 1000000000*T0", "T2 + T0 + T1"), P2, "T2", 6))
+@example(_case("T2^2 + 99999999999999995*T0*T2 - 500000000000000000*T0^2", P2, "T2", 6))
 def test_projective_matches_brute_exactly(case):
     f, names, var, B = case
     r = enumerate_projective([f], names, B, solve_var=var)
@@ -173,6 +190,11 @@ def test_projective_matches_brute_exactly(case):
 # c3 = T1 vanishes on the fibers T1 = 0, c2 = T0 on T0 = T1 = 0
 @example(_case("T1*T2^3 + T0*T2^2 - T0*T2 - T1^2", P2, "T2", 4), 0, "euclidean")
 @example(_case("T1*T3^3 + T0*T3^2 - T2*T3 + T1*T2", T4, "T3", 3), 0, "max")
+# (T2 - 5)(T2 + 10^9)(T2 + T1): 25 points in the box of B = 6, 16 in the ball
+@example(_product_case(("T2 - 5", "T2 + 1000000000", "T2 + T1"), ("T1", "T2"), "T2", 6),
+         0, "max")
+@example(_product_case(("T2 - 5", "T2 + 1000000000", "T2 + T1"), ("T1", "T2"), "T2", 6),
+         0, "euclidean")
 def test_affine_matches_brute_exactly(case, shift, norm):
     # the affine twin: an inhomogeneous system (constant term ``shift``),
     # the solved variable last
