@@ -24,7 +24,7 @@ from .exactarith import bertrand_prime, mertens_check, theta_psi_phi
 from .heights import height_comparison_audit, poly_height
 from .hilbert_samuel import (ExternalConstants, geometric_hs_window, local_hs,
                              q_lower_bound_check)
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, embed, restrict
 from .pointcount import (enumerate_affine, enumerate_projective,
                          integral_conics_experiment, points_on_conics_experiment)
 from .reports import ExperimentReport, tag
@@ -124,23 +124,25 @@ def cmd_hs_geo(args):
     return {"checked": checked, "violations": bad, "D_max": args.geo_D_max}
 
 
+def _top_part_irreducibility(surface):
+    """Absolute irreducibility of the top part f(0, T1, T2, T3), from the
+    first of the primes 2, 3, 5, 7 that decides it ("inconclusive" if none)."""
+    top = restrict(surface.f.substitute({"T0": 0}), ("T1", "T2", "T3"))
+    for p in (2, 3, 5, 7):
+        irr = cc.absolutely_irreducible_cubic_mod_p(top, p)
+        if irr != "inconclusive":
+            return irr
+    return "inconclusive"
+
+
 def cmd_classify(args):
     surface, classification, lines = _surface_pipeline(args)
-    f0 = surface.f.substitute({"T0": 0})
-    from .multipoly import restrict
-    top = restrict(f0, ("T1", "T2", "T3"))
-    irr = "inconclusive"
-    if not top.is_zero():
-        for p in (2, 3, 5, 7):
-            irr = cc.absolutely_irreducible_cubic_mod_p(top, p)
-            if irr != "inconclusive":
-                break
     return {
         "surface": str(surface.f),
         "classification": classification,
         "lines_found": [{"u": str(l.line.u), "v": str(l.line.v),
                          "plucker": list(l.line.plucker)} for l in lines],
-        "top_part_irreducibility": irr,
+        "top_part_irreducibility": _top_part_irreducibility(surface),
     }
 
 
@@ -159,7 +161,6 @@ def cmd_cayley(args):
         raise ConfigError("curve input needs the plane and the curve form")
     ell = min(forms, key=lambda f: f.total_degree())
     Q = max(forms, key=lambda f: f.total_degree())
-    from .multipoly import embed
     psi = cayley_plane_curve(embed(Q, T4), embed(ell, T4))
     audit = height_comparison_audit(psi.poly, 3, 1, psi.degree)
     return {
@@ -180,14 +181,7 @@ def cmd_pencil(args):
         raise ConfigError("no rational line found at this height bound")
     rline = lines[0]
     pencil = cc.conic_family(surface, rline)
-    from .multipoly import restrict
-    top = restrict(surface.f.substitute({"T0": 0}), ("T1", "T2", "T3"))
-    irr = "inconclusive"
-    for p in (2, 3, 5, 7):
-        irr = cc.absolutely_irreducible_cubic_mod_p(top, p)
-        if irr != "inconclusive":
-            break
-    lead = cc.leading_family(pencil, irr)
+    lead = cc.leading_family(pencil, _top_part_irreducibility(surface))
     img_b = cc.family_image(pencil.b_ij.values())
     img_a = cc.family_image(pencil.a_family)
     pairing = cc.height_pairing_check(pencil, seed=args.seed)
@@ -230,7 +224,6 @@ def cmd_count(args):
     if args.mode == "affine":
         forms, names = load_forms(args.curve or args.surface)
         names = tuple(n for n in names if n != "T0") or names
-        from .multipoly import restrict
         forms = [restrict(f, names) for f in forms]
         res = enumerate_affine(forms, names, Bmax, budget=args.budget)
         counts = [sum(1 for p in res.points
@@ -274,7 +267,6 @@ def cmd_verify(args):
     if not all(rational["bound_satisfied"]):
         raise PropertyViolationError("a count exceeded its stated overlay bound")
     if args.affine:
-        from .multipoly import restrict
         aff = restrict(surface.f.substitute({"T0": 1}), ("T1", "T2", "T3"))
         integral = integral_conics_experiment(aff, B_list, lines=lines,
                                               constants=constants,

@@ -27,9 +27,9 @@ from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm,
                      cycle_resultant_biform)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import eval_mod_p, ff_factor_linear, proj_points, reduce_mod_p
-from .multipoly import (MultiPoly, coefficients_in, embed, gcd_binary_forms,
-                        monomials_of_degree, restrict, sylvester_resultant,
-                        sylvester_rows)
+from .multipoly import (MultiPoly, bezout_cutoff, coefficients_in, embed,
+                        essential_variable_count, gcd_binary_forms,
+                        monomials_of_degree, restrict, sylvester_resultant)
 from .pointcount import CHUNK_FIBERS, _np_eval
 
 DEFAULT_LINE_BUDGET = 2_000_000
@@ -233,8 +233,6 @@ def classify_cubic(f: MultiPoly, primes=SMOOTHNESS_PRIMES,
     Flags carry confidence labels: smoothness mod a good prime certifies
     non-ruledness; a singular line is evidence of a ruled (skew) surface.
     """
-    from .multipoly import essential_variable_count
-
     surface = CubicSurface.make(f)
     f = surface.f
     k, basis = essential_variable_count(f)
@@ -338,7 +336,7 @@ def residual_conic(surface: CubicSurface, rline: RationalLine, t=None):
     assert t1 * fx == Ax * ell_t + Q_t * l2x
     assert t2 * fx == Bx * ell_t - Q_t * l1x
     if t is None:
-        _, Q_t = Q_t.content_primitive()
+        _, Q_t = Q_t.rational_content()
         return ell_t, Q_t
     tv1, tv2 = Fraction(t[0]), Fraction(t[1])
     if tv1 == 0 and tv2 == 0:
@@ -612,43 +610,11 @@ def _height_at(rows, d: int, t1: int, t2: int) -> int:
 
 def census_cutoff_constant(pencil: ConicPencil):
     """Exact c > 0 with H(psi^t) >= c * H(t)^d for primitive t (d the family
-    degree), from the integer Bezout identities
-        A(t) q_i + B(t) q_j = R * t1^(2d-1)  and  = R * t2^(2d-1)
-    of a coprime coefficient pair; None when no coprime pair exists.  The
-    identities also bound the specialization content by |R|, which is what
-    makes the census region certified."""
-    rows, d = _int_binary_forms(pencil)
-    live = [r for r in rows if any(r)]
-    best = None
-    for r1, r2 in itertools.combinations(live, 2):
-        c = _bezout_cutoff(r1, r2, d)
-        if c is not None and (best is None or c > best[0]):
-            best = (c, (r1, r2))
-    return best
-
-
-def _bezout_cutoff(r1, r2, d: int):
-    """c with max(|q1(t)|, |q2(t)|)/content >= c * H(t)^d at primitive t,
-    from the two Sylvester Bezout identities rescaled to one common
-    multiplier D (which then also bounds the specialization content)."""
-    syl = sylvester_rows(r1, r2)
-    n = 2 * d
-    cols = [[1 if i == 0 else 0 for i in range(n)],
-            [1 if i == n - 1 else 0 for i in range(n)]]
-    try:
-        sols = linalg.solve([list(row) for row in zip(*syl)], cols, n)
-    except DomainError:
-        return None  # resultant vanished: pair not coprime
-    D = 1
-    for sol in sols:
-        for x in sol:
-            D = D * x.denominator // gcd(D, x.denominator)
-    worst = 0
-    for sol in sols:
-        worst = max(worst, sum(abs(int(x * D)) for x in sol))
-    if worst == 0:
-        return None
-    return Fraction(1, worst)
+    degree), with the coprime pair of coefficient rows whose Bezout
+    identities certify it; None when no coprime pair exists.  The identities
+    also bound the specialization content, which is what makes the census
+    region certified (``multipoly.bezout_cutoff``)."""
+    return bezout_cutoff(*_int_binary_forms(pencil))
 
 
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:

@@ -17,7 +17,7 @@ from .errors import BudgetError, ConfigError, DegenerateReductionError, DomainEr
 from .exactarith import (eval_mod_p, factorize, ff_factor_linear, proj_points,
                          reduce_mod_p)
 from .heights import harmonic
-from .linalg import rank, rank_mod_p
+from .linalg import det, rank, rank_mod_p
 from .multipoly import MultiPoly
 
 
@@ -231,16 +231,10 @@ def _first_nonzero_minor3(A):
     n = len(A)
     for rows in itertools.combinations(range(n), 3):
         for cols in itertools.combinations(range(n), 3):
-            m = _det3([[A[r][c] for c in cols] for r in rows])
+            m = int(det([[A[r][c] for c in cols] for r in rows]))
             if m != 0:
                 return m
     return 0
-
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def is_geometrically_integral_quadratic(q: MultiPoly, p: int | None = None) -> bool:

@@ -14,12 +14,13 @@ polynomials that the rest of the library consumes.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, MacaulayDegenerateError, NonDivisibleError
-from .linalg import det, exact_kernel
+from .linalg import det, exact_kernel, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -356,12 +357,6 @@ class MultiPoly:
             total += t
         return Fraction(total, cden * den ** top)
 
-    def homogeneous_component(self, subset, i: int) -> "MultiPoly":
-        """Sum of monomials whose total degree over ``subset`` equals ``i``."""
-        idx = [self.names.index(n) for n in subset]
-        out = {e: c for e, c in self.terms.items() if sum(e[j] for j in idx) == i}
-        return MultiPoly(self.names, out)
-
     def split_by_degree(self, subset):
         """Partition into {degree over subset -> component}; parts sum to self."""
         idx = [self.names.index(n) for n in subset]
@@ -390,28 +385,6 @@ class MultiPoly:
             content = -content
         prim = self * (1 / content)
         return content, prim
-
-    def content_primitive(self, wrt=None):
-        """(content, primitive part).
-
-        ``wrt=None``: content is the signed rational content.
-        ``wrt=(a, b)``: coefficients are read as polynomials in the two named
-        variables; content is their gcd (a binary form over Q, itself made
-        integer-primitive), sign-normalized so the primitive part's leading
-        coefficient is positive.
-        """
-        if self.is_zero():
-            raise DomainError("content of zero polynomial")
-        if wrt is None:
-            return self.rational_content()
-        wrt = tuple(wrt)
-        if len(wrt) != 2:
-            raise DomainError("polynomial content implemented for two variables only")
-        coeffs = coefficients_in(self, wrt).values()
-        g = gcd_binary_forms(list(coeffs), wrt)
-        q = self.exact_divide(embed(g, self.names))
-        cr, prim = q.rational_content()
-        return embed(g, self.names) * cr, prim
 
     # --- serialization -----------------------------------------------------
 
@@ -676,6 +649,35 @@ def sylvester_rows(fc, gc):
     m, n = len(fc) - 1, len(gc) - 1
     return ([[0] * k + list(fc) + [0] * (n - 1 - k) for k in range(n)]
             + [[0] * k + list(gc) + [0] * (m - 1 - k) for k in range(m)])
+
+
+def bezout_cutoff(rows, d: int):
+    """Exact c > 0 with H(q(t)) >= c * H(t)^d at every primitive integer
+    t = (t1, t2), where q(t) is the vector of the degree-d binary forms with
+    integer coefficient ``rows`` (leading coefficient first) and H the height
+    of its primitive part, with the pair of rows that certifies it:
+    (c, (r1, r2)), or None when no pair of rows is coprime.
+
+    A coprime pair has the Bezout identities A q1 + B q2 = D t1^(2d-1) and
+    A' q1 + B' q2 = D t2^(2d-1) with integer A, B, A', B' of degree d - 1
+    over one common multiplier D, read off the Sylvester matrix.  At
+    primitive t they bound the content of q(t) by |D| and give
+    max(|q1(t)|, |q2(t)|) >= H(t)^d * |D| / w, w the largest coefficient sum
+    of |A| + |B| and |A'| + |B'|, so c = 1 / w.  The best pair is kept.
+    """
+    n = 2 * d
+    ends = [[int(i == 0) for i in range(n)], [int(i == n - 1) for i in range(n)]]
+    best = None
+    for r1, r2 in itertools.combinations([r for r in rows if any(r)], 2):
+        try:
+            sols = solve([list(col) for col in zip(*sylvester_rows(r1, r2))], ends, n)
+        except DomainError:
+            continue  # resultant vanished: pair not coprime
+        D = lcm(*(x.denominator for sol in sols for x in sol))
+        worst = max(sum(abs(int(x * D)) for x in sol) for sol in sols)
+        if worst and (best is None or Fraction(1, worst) > best[0]):
+            best = (Fraction(1, worst), (r1, r2))
+    return best
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:

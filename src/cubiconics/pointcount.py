@@ -26,13 +26,15 @@ import numpy as np
 from .cayley import T4
 from .errors import BudgetError, DomainError
 from .heights import normalize_primitive_vector
-from .hilbert_samuel import (ExternalConstants, _det3, bound_evaluator,
-                             bound_exponent, gram_matrix_doubled)
-from .linalg import solve
-from .multipoly import MultiPoly, restrict
+from .hilbert_samuel import (ExternalConstants, bound_evaluator, bound_exponent,
+                             gram_matrix_doubled)
+from .linalg import det
+from .multipoly import MultiPoly, bezout_cutoff, restrict
 
 SURFACE_B_BUDGET = 512
 CURVE_B_BUDGET = 10_000
+# height up to which conic_points looks for the base point of its chords
+BASE_SEARCH = 32
 # fibers per prefix chunk; bounds the scan's working memory
 CHUNK_FIBERS = 1 << 18
 
@@ -375,247 +377,90 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
     return CountResult(len(pts), tuple(map(tuple, pts.tolist())), True)
 
 
-# --- conic points with the accelerated route -----------------------------------------
+# --- conic points, recounted through the chord parameterization --------------------
 
 
-def conic_points(Q: MultiPoly, ell: MultiPoly, B, budget: float | None = None,
-                 accelerate: bool = True, base_search: int = 32) -> CountResult:
+def conic_points(Q: MultiPoly, ell: MultiPoly, B, budget: float | None = None) -> CountResult:
     """Rational points of height <= B on the conic V(ell, Q) in P^3.
 
-    Brute enumeration solves the plane form's pivot coordinate per fiber; the
-    accelerated path (when a small base point exists) parameterizes the conic
-    and enumerates parameters inside a certified region.  When both paths run
-    they must agree.
+    Brute enumeration solves the plane form's pivot coordinate per fiber.
+    When the conic is smooth and has a point of height <= BASE_SEARCH, the
+    chords through that point recount it over a certified parameter region,
+    and the two counts must agree.
     """
-    Q = restrict(Q, T4)
-    ell = restrict(ell, T4)
+    Q = restrict(Q, T4).rational_content()[1]
+    ell = restrict(ell, T4).rational_content()[1]
     piv = T4[min(e.index(1) for e in ell.terms)]
     brute = enumerate_projective([ell, Q], T4, B, budget=budget, solve_var=piv)
-    note = "brute"
-    if accelerate:
-        fast = _conic_points_parameterized(Q, ell, B, base_search)
-        if fast is None:
-            note = "brute (no small base point; acceleration skipped)"
-        else:
-            if set(fast) != set(brute.points):
-                raise AssertionError("accelerated conic enumeration disagrees with brute force")
-            note = "brute + parameterization agree"
+    fast = _conic_points_parameterized(Q, ell, B)
+    if fast is None:
+        note = "brute (no small base point; acceleration skipped)"
+    elif set(fast) != set(brute.points):
+        raise AssertionError("accelerated conic enumeration disagrees with brute force")
+    else:
+        note = "brute + parameterization agree"
     return CountResult(brute.count, brute.points, True, note)
 
 
-def _conic_points_parameterized(Q, ell, B, base_search):
-    base = None
-    for H in range(1, base_search + 1):
-        res = enumerate_projective([ell, Q], T4, H)
-        if res.count:
-            base = res.points[0]
-            break
-    if base is None:
+def _conic_points_parameterized(Q, ell, B):
+    """Points of height <= B on the conic of the primitive integer forms Q
+    and ell, from the chords through its base point P, the point of least
+    height (then least tuple) up to BASE_SEARCH; None when there is no such
+    point, the conic is singular, or no pair of coordinates is coprime.
+
+    With c the coefficients of ell, any column j with c_j != 0 and any other
+    column f0 with P_f0 != 0 leave two columns f, and the vectors
+    w_f = c_j e_f - c_f e_j lie in the plane and span it with P (P_f0 != 0
+    keeps P out of their span).  The chord through P in direction
+    W = s w1 + u w2 meets the conic again at X = Q(W) P - polar(P, W) W,
+    polar(x, y) = Q(x + y) - Q(x) - Q(y), which is P itself when W is
+    tangent, so every point is X at one primitive (s, u) with s >= 0.  Each
+    coordinate of X is a binary quadratic in (s, u), and the Bezout cutoff c
+    of a coprime pair of them bounds max(|s|, |u|)^2 by H(X) / c.  The cutoff
+    depends on the choice of (j, f0), so the largest one is kept.
+    """
+    c = [int(ell.coefficient(tuple(int(i == k) for i in range(4)))) for k in range(4)]
+    # the conic is smooth iff the Gram matrix of Q bordered by c is invertible
+    if det([g + [ci] for g, ci in zip(gram_matrix_doubled(Q), c)] + [c + [0]]) == 0:
         return None
-    # plane lattice basis: integer kernel of the linear form
-    coeffs = [int(ell.coefficient(tuple(1 if i == k else 0 for i in range(4))))
-              for k in range(4)]
-    basis = _plane_lattice_basis(coeffs)
-    # conic as a ternary quadratic on plane coordinates y
-    ynames = ("y0", "y1", "y2")
-    sub = {}
-    for i, n in enumerate(T4):
-        expr = MultiPoly.zero(ynames)
-        for j, vec in enumerate(basis):
-            if vec[i]:
-                expr = expr + vec[i] * MultiPoly.variable(ynames[j], ynames)
-        sub[n] = expr
-    Qy = _compose_linear(Q, sub, ynames)
-    # the chord construction needs a smooth conic
-    if _det3(gram_matrix_doubled(Qy)) == 0:
+    piv = next(k for k in range(4) if c[k])
+    found = enumerate_projective([ell, Q], T4, BASE_SEARCH, solve_var=T4[piv]).points
+    if not found:
         return None
-    y0 = _solve_int_coords(basis, base)
-    # chord parameterization through y0: x(s,u) = B(y0,w) w - Q(w) y0
-    pnames = ("s", "u")
-    w = [MultiPoly.zero(pnames) for _ in range(3)]
-    dirs = _directions_basis(y0)
-    for j in range(3):
-        w[j] = dirs[0][j] * MultiPoly.variable("s", pnames) \
-            + dirs[1][j] * MultiPoly.variable("u", pnames)
-    Qw = _eval_quadratic(Qy, w, pnames)
-    Bw = _polar_eval(Qy, y0, w, pnames)
-    param_y = [Bw * w[j] - Qw * y0[j] for j in range(3)]
-    # back to ambient coordinates: 4 binary quadratics
-    param_x = []
-    for i in range(4):
-        expr = MultiPoly.zero(pnames)
-        for j in range(3):
-            expr = expr + basis[j][i] * param_y[j]
-        param_x.append(expr)
-    rows = []
-    for q in param_x:
-        row = [0, 0, 0]
-        for e, c in q.terms.items():
-            row[{(2, 0): 0, (1, 1): 1, (0, 2): 2}[e]] = int(c)
-        rows.append(row)
-    cut = _pair_cutoff(rows)
-    if cut is None:
+    P = min(found, key=lambda p: (max(map(abs, p)), p))
+
+    def q(x):
+        return int(Q.evaluate(x))
+
+    def polar(x, y):
+        return q([a + b for a, b in zip(x, y)]) - q(x) - q(y)
+
+    best = None
+    for j, f0 in it.permutations(range(4), 2):
+        if not (c[j] and P[f0]):
+            continue
+        w1, w2 = ([c[j] * (i == f) - c[f] * (i == j) for i in range(4)]
+                  for f in range(4) if f not in (j, f0))
+        q11, q12, q22 = q(w1), polar(w1, w2), q(w2)
+        b1, b2 = polar(P, w1), polar(P, w2)
+        # X = s^2 (q11 P - b1 w1) + s u (q12 P - b1 w2 - b2 w1) + u^2 (q22 P - b2 w2)
+        rows = [[q11 * p - b1 * x, q12 * p - b1 * y - b2 * x, q22 * p - b2 * y]
+                for p, x, y in zip(P, w1, w2)]
+        cut = bezout_cutoff(rows, 2)
+        if cut and (best is None or cut[0] > best[0]):
+            best = cut[0], rows
+    if best is None:
         return None
+    cut, rows = best
     m_max = math.isqrt(int(B / cut)) + 1
     pts = set()
-    for s in range(0, m_max + 1):
+    for s in range(m_max + 1):
         for u in range(-m_max, m_max + 1):
-            if s == 0 and u != 1:
-                continue
-            if s > 0 and gcd(s, abs(u)) != 1:
-                continue
-            vec = tuple(r[0] * s * s + r[1] * s * u + r[2] * u * u for r in rows)
-            if all(v == 0 for v in vec):
-                continue
-            cp = normalize_primitive_vector(vec)[0]
-            if max(abs(v) for v in cp) <= B:
-                pts.add(cp)
-    # base point itself corresponds to the branch Q(w) = 0 directions; it is
-    # already produced unless every chord misses it at primitive parameters
-    pts.add(base)
+            if gcd(s, u) == 1 and (s > 0 or u == 1):
+                X = [r[0] * s * s + r[1] * s * u + r[2] * u * u for r in rows]
+                if max(map(abs, X)) <= B * gcd(*X):
+                    pts.add(normalize_primitive_vector(X)[0])
     return tuple(sorted(pts))
-
-
-def _pair_cutoff(rows):
-    """Exact c with max|row values| / content >= c * max(|s|,|u|)^2, via the
-    rescaled Sylvester Bezout identities of a coprime coordinate pair."""
-    from .cubic_conics import _bezout_cutoff
-    live = [r for r in rows if any(r)]
-    best = None
-    for r1, r2 in it.combinations(live, 2):
-        c = _bezout_cutoff(r1, r2, 2)
-        if c is not None and (best is None or c > best):
-            best = c
-    return best
-
-
-def _plane_lattice_basis(coeffs):
-    """Basis of the saturated rank-3 integer kernel lattice of a primitive
-    integer linear form c on Z^4.
-
-    With d satisfying c . d = 1, the projection x -> x - (c . x) d maps the
-    standard basis onto a spanning set of the full kernel lattice; a Hermite
-    reduction turns the four spanning vectors into three basis vectors.
-    """
-    c = [int(x) for x in coeffs]
-    d = _dual_vector(c)
-    span = []
-    for i in range(4):
-        x = [0, 0, 0, 0]
-        x[i] = 1
-        dot = c[i]
-        span.append(tuple(x[j] - dot * d[j] for j in range(4)))
-    return _hermite_rows(span)
-
-
-def _dual_vector(c):
-    """Integer d with c . d = 1 for a primitive integer vector c."""
-    g, coeffs = c[0], [1, 0, 0, 0]
-    for i in range(1, 4):
-        if g == 0:
-            g, coeffs = c[i], [0] * 4
-            coeffs[i] = 1
-            continue
-        gg, s, t = _ext_gcd(g, c[i])
-        coeffs = [s * x for x in coeffs]
-        coeffs[i] += t
-        g = gg
-    if g < 0:
-        g, coeffs = -g, [-x for x in coeffs]
-    assert g == 1, "linear form is not primitive"
-    return coeffs
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _hermite_rows(rows):
-    """Nonzero rows of a row-style Hermite reduction of an integer matrix."""
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    r = 0
-    for col in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        # clear the column below by gcd steps
-        for i in range(r + 1, nr):
-            while m[i][col]:
-                q = m[r][col] // m[i][col]
-                m[r] = [a - q * b for a, b in zip(m[r], m[i])]
-                m[r], m[i] = m[i], m[r]
-        r += 1
-        if r == nr:
-            break
-    return [tuple(row) for row in m if any(row)]
-
-
-def _solve_int_coords(basis, point):
-    """Rational plane coordinates of an ambient point (clears to integers)."""
-    rows = [[basis[j][i] for j in range(3)] for i in range(4)]
-    sol = solve(rows, [list(point)], 3)[0]
-    den = 1
-    for x in sol:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in sol]
-
-
-def _directions_basis(y0):
-    piv = next(i for i, v in enumerate(y0) if v != 0)
-    return [tuple(1 if j == k else 0 for j in range(3))
-            for k in range(3) if k != piv]
-
-
-def _eval_quadratic(Qy, w, pnames):
-    sub = {f"y{j}": w[j] for j in range(3)}
-    names = Qy.names
-    out = MultiPoly.zero(pnames)
-    for e, c in Qy.terms.items():
-        piece = MultiPoly.constant(c, pnames)
-        for j, ej in enumerate(e):
-            for _ in range(ej):
-                piece = piece * w[j]
-        out = out + piece
-    return out
-
-
-def _polar_eval(Qy, y0, w, pnames):
-    """B(y0, w) = Q(y0 + w) - Q(y0) - Q(w), evaluated symbolically in w."""
-    mixed = MultiPoly.zero(pnames)
-    for e, c in Qy.terms.items():
-        idx = [j for j, ej in enumerate(e) if ej]
-        if len(idx) == 1 and e[idx[0]] == 2:
-            j = idx[0]
-            mixed = mixed + 2 * c * y0[j] * w[j]
-        else:
-            j, k = idx
-            mixed = mixed + c * (y0[j] * w[k] + y0[k] * w[j])
-    return mixed
-
-
-def _compose_linear(Q, sub, ynames):
-    out = MultiPoly.zero(ynames)
-    for e, c in Q.terms.items():
-        piece = MultiPoly.constant(c, ynames)
-        for name, ei in zip(Q.names, e):
-            for _ in range(ei):
-                piece = piece * sub[name]
-        out = out + piece
-    return out
 
 
 # --- experiments ------------------------------------------------------------------------

@@ -342,6 +342,48 @@ def test_conic_points_anisotropic():
     assert "skipped" in r.note or "brute" in r.note
 
 
+def test_conic_points_base_point_above_B():
+    # the least point, (3, -4, 1, 0), has height 4 > B
+    r = conic_points(MultiPoly.parse("T0^2 + T1^2 - 25*T2^2", T4),
+                     MultiPoly.parse("T3", T4), 3)
+    assert r.count == 0 and "agree" in r.note
+
+
+@pytest.mark.parametrize("q, count", [
+    ("1/3*T0^2 + 1/3*T1^2 - 25/3*T2^2", 12),
+    ("1/2*T0*T2 - 1/2*T1^2", 16),
+])
+def test_conic_points_fractional_coefficients(q, count):
+    r = conic_points(MultiPoly.parse(q, T4), MultiPoly.parse("T3", T4), 12)
+    assert r.count == count and "agree" in r.note
+
+
+@pytest.mark.parametrize("q, ell, count", [
+    ("T0*T1 - T2^2 + T3^2", "2*T0 + 3*T1 - 6*T3", 16),
+    ("T0^2 - 2*T1^2 + T2*T3 - T0*T3", "3*T0 - 5*T2 + 7*T3", 2),
+    ("T0*T2 + T1*T3 - T2^2", "T0 + T1 + T2 + T3", 24),
+    ("T1^2 + T2^2 - T3^2 + T0*T1", "T1 - 2*T2", 20),
+    ("T0*T1 - T2*T3", "T0 - T1", 24),
+    ("T0^2 + T1^2 - T2^2 - T3^2", "1/2*T0 - 1/3*T1 + T3", 12),
+])
+def test_conic_points_oblique_planes(q, ell, count):
+    Q, ell = MultiPoly.parse(q, T4), MultiPoly.parse(ell, T4)
+    r = conic_points(Q, ell, 6)
+    assert "agree" in r.note
+    assert set(r.points) == brute_projective([ell, Q], T4, 6)
+    r = conic_points(Q, ell, 20)
+    assert r.count == count and "agree" in r.note
+
+
+def test_conic_points_line_pair_skipped():
+    # T0^2 - T1^2 = (T0 - T1)(T0 + T1): two rational lines in the plane
+    Q = MultiPoly.parse("T0^2 - T1^2", T4)
+    ell = MultiPoly.parse("T0 + T1 + T2 + 2*T3", T4)
+    r = conic_points(Q, ell, 6)
+    assert "skipped" in r.note
+    assert r.count == 51 and set(r.points) == brute_projective([ell, Q], T4, 6)
+
+
 def test_homogenize():
     f = MultiPoly.parse("T1^3 + T2*T3 - 1", A3)
     F = homogenize(f)
