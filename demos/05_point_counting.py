@@ -25,7 +25,7 @@ r = conic_points(MultiPoly.parse("T0*T2 - T1^2", T4), MultiPoly.parse("T3", T4),
 print("  isotropic conic, B = 32:", r.count, "points |", r.note)
 r2 = conic_points(MultiPoly.parse("T2^2 - T2*T3 + T3^2", T4),
                   MultiPoly.parse("T0 + T1", T4), 32)
-print("  anisotropic section, B = 32:", r2.count, "point(s) |", r2.note)
+print("  two conjugate lines, B = 32:", r2.count, "point(s) |", r2.note)
 
 print("\n== affine enumeration in the euclidean ball ==")
 aff = MultiPoly.parse("T1^3 + T2^3 + T3^3 - 1", A3)

@@ -16,15 +16,21 @@ does not vanish on V: every nonzero kernel vector of the standard columns of
 the evaluation matrix is a witness.  Conversely, the
 remainder of any witness is such a vector, because the points lie on V.
 
-Both certificate legs are exact: vanishing at every point is checked in
-integer arithmetic (inside exact_kernel, or by evaluation for the
-product-of-lines construction in P^2), and non-containment by one exact
-division: f does not divide the witness.
+Both certificate legs are exact, and non-containment is one exact division:
+f does not divide the witness.  Vanishing at every point is checked in
+integer arithmetic.  exact_kernel echelons only the point rows that are
+independent mod p and checks every kernel vector against all rows, falling
+back to all rows when a check fails.  The product-of-lines construction in
+P^2 multiplies its linear factors on a dense integer coefficient array and
+evaluates the expanded form at every point, so the check covers the
+expansion, not only the factors.
 
 The degree scan is certified arithmetically: a rank modulo a word-size prime
 never exceeds the rational one, so standard columns of full rank mod p prove
 that no witness exists at that degree; only then is an exact fraction-free
-solve run.  Scan records give the full-space figures, which the quotient
+solve run.  The scan reads its matrices mod p from one table of the point
+coordinates' powers, extended as D grows.  Scan records give the full-space
+figures, which the quotient
 determines: ideal_dim = #monomials - #standard (the degree-D part of I(V))
 and dimker_p = ideal_dim + #standard - rank mod p.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd, prod
 
 import numpy as np
 
@@ -75,40 +82,36 @@ def evaluation_matrix(points, D: int, names=None) -> EvaluationMatrix:
     if names is None:
         names = tuple(f"T{i}" for i in range(nvars))
     monos = monomials_of_degree(nvars, D)
+    exps = np.array(monos, dtype=np.int64).reshape(-1, nvars).T
     rows = []
     for p in points:
-        row = []
-        for e in monos:
-            v = 1
-            for x, ei in zip(p, e):
-                if ei:
-                    v *= x ** ei
-            row.append(v)
-        rows.append(row)
+        # the column of each monomial gathered from per-coordinate powers
+        powers = (np.array([x ** e for e in range(D + 1)], dtype=object)[ek]
+                  for x, ek in zip(p, exps))
+        rows.append(prod(powers).tolist())
     return EvaluationMatrix(points, tuple(monos), rows, tuple(names), D)
 
 
-def _matrix_mod_p(points, monos, p):
-    pts = np.array(points, dtype=np.int64) % p
-    cols = []
-    for e in monos:
-        v = np.ones(len(points), dtype=np.int64)
-        for k, ei in enumerate(e):
-            if ei:
-                v = v * pow_mod_vec(pts[:, k], ei, p) % p
-        cols.append(v)
-    return np.stack(cols, axis=1)
+def _power_table(points, D, p, table=None):
+    """table[e, k, n] = points[n][k]^e mod p for e <= D, extending the rows
+    of ``table`` already computed."""
+    base = np.array(points, dtype=np.int64).T % p
+    if table is None:
+        table = np.ones((1,) + base.shape, dtype=np.int64)
+    rows = [table]
+    for _ in range(len(table), D + 1):
+        rows.append(rows[-1][-1:] * base % p)
+    return np.concatenate(rows)
 
 
-def pow_mod_vec(a, e, p):
-    out = np.ones_like(a)
-    base = a % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _matrix_mod_p(table, exps, p):
+    """Evaluation matrix mod p, one row per point, of the monomials whose
+    exponent vectors are the rows of ``exps``, gathered from the power
+    table of those points."""
+    out = table[exps[:, 0], 0]
+    for k in range(1, exps.shape[1]):
+        out = out * table[exps[:, k], k] % p
+    return out.T
 
 
 # --- the coordinate ring ---------------------------------------------------------
@@ -163,13 +166,14 @@ def _certify_squarefree(f):
                       f"{_SQUAREFREE_LINES} lines")
 
 
-def _standard(monos, pivots, f):
-    """Indices of the standard monomials among ``monos``: free of the pivots
-    and not divisible by the leading monomial of f."""
-    lead = f.leading_term()[0] if f is not None else None
-    return [i for i, e in enumerate(monos)
-            if not any(e[k] for k in pivots)
-            and (lead is None or any(a < b for a, b in zip(e, lead)))]
+def _standard(exps, pivots, f):
+    """Indices of the standard monomials among the rows of the exponent
+    array ``exps``: free of the pivots and not divisible by the leading
+    monomial of f."""
+    mask = ~exps[:, list(pivots)].any(axis=1)
+    if f is not None:
+        mask &= (exps < np.array(f.leading_term()[0])).any(axis=1)
+    return np.flatnonzero(mask)
 
 
 @dataclass
@@ -205,7 +209,8 @@ def auxiliary_form(forms, names, points, D: int):
         raise DomainError("auxiliary_form needs points on the variety")
     pivots, f = _quotient(forms, names)
     M = evaluation_matrix(points, D, names)
-    return _kernel_witness(M, _standard(M.monomials, pivots, f), f)
+    exps = np.array(M.monomials, dtype=np.int64).reshape(-1, len(names))
+    return _kernel_witness(M, _standard(exps, pivots, f), f)
 
 
 def _vec_to_poly(v, monomials, names):
@@ -231,15 +236,17 @@ def minimal_omega(forms, names, B, budget_D: int = 200,
     nvars = len(names)
     pivots, f = _quotient(forms, names)
     p = _SCAN_PRIME
+    table = None
     skipped = []
     for D in range(1, budget_D + 1):
-        monos = monomials_of_degree(nvars, D)
-        std = _standard(monos, pivots, f)
+        exps = np.array(monomials_of_degree(nvars, D), dtype=np.int64)
+        std = _standard(exps, pivots, f)
         rank_p = 0
-        if points and std:
-            rank_p = rank_mod_p(_matrix_mod_p(points, [monos[i] for i in std], p), p)[0]
-        record = {"D": D, "dimker_p": len(monos) - rank_p,
-                  "ideal_dim": len(monos) - len(std)}
+        if points and len(std):
+            table = _power_table(points, D, p, table)
+            rank_p = rank_mod_p(_matrix_mod_p(table, exps[std], p), p)[0]
+        record = {"D": D, "dimker_p": len(exps) - rank_p,
+                  "ideal_dim": len(exps) - len(std)}
         if rank_p == len(std):
             # the rank over Q is at least the rank mod p, so no combination
             # of standard monomials vanishes on the points: no witness at D
@@ -283,7 +290,7 @@ def _product_of_lines_witness(f, names, points, D):
     """
     if not points:
         return None
-    pts = sorted(points)
+    pts = sorted(tuple(int(c) for c in p) for p in points)
     factors = []
     for i in range(0, len(pts) - 1, 2):
         a, b = pts[i], pts[i + 1]
@@ -304,20 +311,21 @@ def _product_of_lines_witness(f, names, points, D):
                 break
     if len(factors) > D:
         return None
-    poly = MultiPoly.constant(1, names)
-    for cr in factors:
-        lin = MultiPoly(names, {
-            tuple(1 if k == j else 0 for k in range(3)): c
-            for j, c in enumerate(cr) if c})
-        poly = poly * lin
     # filler factors keep the degree at exactly D without new zeros on X
-    filler = MultiPoly(names, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    for _ in range(D - len(factors)):
-        poly = poly * filler
-    _, poly = poly.rational_content()
-    # exact certificates
-    if any(poly.evaluate(p) != 0 for p in pts):
-        return None
+    C = _expand_product(factors + [(1, 1, 1)] * (D - len(factors)))
+    e0, e1 = np.nonzero(C)
+    coeffs = C[e0, e1]
+    content = gcd(*coeffs)
+    if coeffs[-1] < 0:  # the graded-lex leading term comes last
+        content = -content
+    coeffs //= content
+    # exact certificates: the expanded form vanishes at every point
+    for p in pts:
+        x, y, z = (np.array([v ** e for e in range(D + 1)], dtype=object) for v in p)
+        if (x[e0] * y[e1] * z[D - e0 - e1]).dot(coeffs):
+            return None
+    poly = MultiPoly(names, {(a, b, D - a - b): c
+                             for a, b, c in zip(e0.tolist(), e1.tolist(), coeffs)})
     if f is not None and f.divides(poly):
         return None
     return AuxiliaryForm(D, poly, {
@@ -326,6 +334,23 @@ def _product_of_lines_witness(f, names, points, D):
         "points": len(pts),
         "construction": "product of lines through point pairs",
     })
+
+
+def _expand_product(factors):
+    """Dense integer coefficients of the product of the linear forms
+    a*T0 + b*T1 + c*T2 given as (a, b, c): C[i, j] is the coefficient of
+    T0^i T1^j T2^(D-i-j), D the number of factors."""
+    D = len(factors)
+    C = np.zeros((D + 1, D + 1), dtype=object)
+    C[0, 0] = 1
+    for a, b, c in factors:
+        nxt = C * c
+        if a:
+            nxt[1:] += C[:-1] * a
+        if b:
+            nxt[:, 1:] += C[:, :-1] * b
+        C = nxt
+    return C
 
 
 # --- translation search -------------------------------------------------------------

@@ -18,13 +18,15 @@ import numpy as np
 
 from .errors import DomainError
 
+_ROW_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
+
 
 def _integer_rows(rows):
     """The rows scaled to integers by the lcm of each row's denominators,
     and the product of those multipliers."""
     out, scale = [], 1
     for r in rows:
-        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+        den = lcm(*(x.denominator for x in r if type(x) is Fraction))
         out.append([int(x * den) for x in r])
         scale *= den
     return out, scale
@@ -90,11 +92,36 @@ def rank(rows, ncols: int) -> int:
 
 def exact_kernel(rows, ncols=None):
     """Exact rational basis of the right kernel of an integer/rational
-    matrix; every basis vector is verified against the input."""
+    matrix; every basis vector is verified against the input.
+
+    A matrix with more rows than columns is echelonned only on its rows
+    that are independent modulo a word-size prime: the pivot columns of its
+    transpose mod p, its row rank profile (Dumas, Pernet and Sultan, ISSAC
+    2013).  When its rank mod p is its rank over Q, those rows span its row
+    space and give the same basis.  A basis vector that some row does not
+    annihilate means p divides a minor; then all rows are echelonned.
+    """
     rows = [list(r) for r in rows]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    ech, pivots, _ = _echelon(_integer_rows(rows)[0], ncols)
+    int_rows = _integer_rows(rows)[0]
+    if len(rows) > ncols:
+        tall = np.array([r[:ncols] for r in int_rows], dtype=object)
+        keep = rank_mod_p(tall.T, _ROW_PRIME)[1]
+        basis = _kernel_basis([int_rows[i] for i in keep], ncols)
+        if all(annihilates(rows, v) for v in basis):
+            return basis
+    basis = _kernel_basis(int_rows, ncols)
+    for v in basis:
+        if not annihilates(rows, v):
+            raise AssertionError("kernel verification failed")
+    return basis
+
+
+def _kernel_basis(int_rows, ncols):
+    """The kernel basis read from the echelon form of the integer rows: a 1
+    in one free column and 0 in the others."""
+    ech, pivots, _ = _echelon(int_rows, ncols)
     pivset = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -102,9 +129,6 @@ def exact_kernel(rows, ncols=None):
             v = [Fraction(0)] * ncols
             v[fc] = Fraction(1)
             basis.append(_back_substitute(ech, pivots, v))
-    for v in basis:
-        if not annihilates(rows, v):
-            raise AssertionError("kernel verification failed")
     return basis
 
 
@@ -173,12 +197,12 @@ def rank_mod_p(rows, p: int):
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
         inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        col_vals = m[:, col].copy()
-        col_vals[rank] = 0
-        nzr = np.nonzero(col_vals)[0]
+        row = m[rank, col:] * inv % p
+        # only the rows below the pivot are reduced: the echelon form gives
+        # the rank and the pivot columns
+        nzr = rank + 1 + np.nonzero(m[rank + 1:, col])[0]
         if len(nzr):
-            m[nzr] = (m[nzr] - np.outer(col_vals[nzr], m[rank])) % p
+            m[nzr, col:] = (m[nzr, col:] - np.outer(m[nzr, col], row)) % p
         pivots.append(col)
         rank += 1
         if rank == nrows:

@@ -386,15 +386,16 @@ def conic_points(Q: MultiPoly, ell: MultiPoly, B, budget: float | None = None) -
     Brute enumeration solves the plane form's pivot coordinate per fiber.
     When the conic is smooth and has a point of height <= BASE_SEARCH, the
     chords through that point recount it over a certified parameter region,
-    and the two counts must agree.
+    and the two counts must agree; otherwise the note names the guard that
+    refused.
     """
     Q = restrict(Q, T4).rational_content()[1]
     ell = restrict(ell, T4).rational_content()[1]
     piv = T4[min(e.index(1) for e in ell.terms)]
     brute = enumerate_projective([ell, Q], T4, B, budget=budget, solve_var=piv)
     fast = _conic_points_parameterized(Q, ell, B)
-    if fast is None:
-        note = "brute (no small base point; acceleration skipped)"
+    if isinstance(fast, str):
+        note = f"brute ({fast}; acceleration skipped)"
     elif set(fast) != set(brute.points):
         raise AssertionError("accelerated conic enumeration disagrees with brute force")
     else:
@@ -405,8 +406,9 @@ def conic_points(Q: MultiPoly, ell: MultiPoly, B, budget: float | None = None) -
 def _conic_points_parameterized(Q, ell, B):
     """Points of height <= B on the conic of the primitive integer forms Q
     and ell, from the chords through its base point P, the point of least
-    height (then least tuple) up to BASE_SEARCH; None when there is no such
-    point, the conic is singular, or no pair of coordinates is coprime.
+    height (then least tuple) up to BASE_SEARCH.  When a guard refuses, the
+    reason instead: the conic is singular, it has no such point, or no pair
+    of coordinates is coprime.
 
     With c the coefficients of ell, any column j with c_j != 0 and any other
     column f0 with P_f0 != 0 leave two columns f, and the vectors
@@ -422,11 +424,11 @@ def _conic_points_parameterized(Q, ell, B):
     c = [int(ell.coefficient(tuple(int(i == k) for i in range(4)))) for k in range(4)]
     # the conic is smooth iff the Gram matrix of Q bordered by c is invertible
     if det([g + [ci] for g, ci in zip(gram_matrix_doubled(Q), c)] + [c + [0]]) == 0:
-        return None
+        return "singular conic"
     piv = next(k for k in range(4) if c[k])
     found = enumerate_projective([ell, Q], T4, BASE_SEARCH, solve_var=T4[piv]).points
     if not found:
-        return None
+        return "no small base point"
     P = min(found, key=lambda p: (max(map(abs, p)), p))
 
     def q(x):
@@ -450,7 +452,7 @@ def _conic_points_parameterized(Q, ell, B):
         if cut and (best is None or cut[0] > best[0]):
             best = cut[0], rows
     if best is None:
-        return None
+        return "no coprime pair of coordinates"
     cut, rows = best
     m_max = math.isqrt(int(B / cut)) + 1
     pts = set()

@@ -1,12 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
 
 from cubiconics.cli import load_forms
-from cubiconics.detmethod import (auxiliary_form, evaluation_matrix,
+from cubiconics.detmethod import (_matrix_mod_p, _power_table,
+                                  _product_of_lines_witness,
+                                  auxiliary_form, evaluation_matrix,
                                   exact_kernel, minimal_omega,
                                   translation_search)
 from cubiconics.errors import DomainError
@@ -30,6 +33,13 @@ def test_evaluation_matrix_shapes():
     k4 = exact_kernel(M4.rows, 6)
     k5 = exact_kernel(M5.rows, 6)
     assert len(k4) == len(k5) == 2
+    # each entry is the monomial's value, computed term by term
+    rng = random.Random(3)
+    pts = [tuple(rng.choice((0, -1, rng.randint(-9, 9))) for _ in range(4))
+           for _ in range(12)]
+    M6 = evaluation_matrix(pts, 5)
+    assert M6.rows == [[prod(x ** e for x, e in zip(p, mono)) for mono in M6.monomials]
+                       for p in pts]
 
 
 def test_exact_kernel():
@@ -169,6 +179,78 @@ def test_scan_matches_full_monomial_space(data_dir, fname, Bmax):
                                             "ideal_dim": ideal}
             else:
                 assert dimker > ideal
+
+
+def _multipoly_product_of_lines(points, D):
+    """The product-of-lines form built term by term in MultiPoly: the
+    factors of _product_of_lines_witness, multiplied sparsely, filler
+    T0 + T1 + T2 up to degree D, then the primitive part."""
+    pts = sorted(points)
+    pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
+    if len(pts) % 2:
+        last = pts[-1]
+        unit = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                    if any(np.cross(last, e)))
+        pairs.append((last, unit))
+    poly = MultiPoly.constant(1, P2)
+    for a, b in pairs:
+        cr = [int(c) for c in np.cross(a, b)]
+        poly = poly * MultiPoly(P2, {tuple(int(k == j) for k in range(3)): c
+                                     for j, c in enumerate(cr)})
+    filler = MultiPoly.parse("T0 + T1 + T2", P2)
+    for _ in range(D - len(pairs)):
+        poly = poly * filler
+    return poly.rational_content()[1]
+
+
+def _random_points_p2(rng, n):
+    """n distinct primitive points of P^2, first nonzero entry positive,
+    with many zero coordinates."""
+    pts = set()
+    while len(pts) < n:
+        v = [rng.choice((0, 0, rng.randint(-7, 7))) for _ in range(3)]
+        if any(v):
+            g = gcd(*v)
+            v = [x // g for x in v]
+            if next(x for x in v if x) < 0:
+                v = [-x for x in v]
+            pts.add(tuple(v))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 14])
+def test_dense_product_of_lines_matches_multipoly(n):
+    rng = random.Random(100 + n)
+    pts = _random_points_p2(rng, n)
+    nfactors = (n + 1) // 2
+    for D in (nfactors, nfactors + 3):
+        w = _product_of_lines_witness(None, P2, pts, D)
+        assert w.form.terms == _multipoly_product_of_lines(pts, D).terms
+        assert all(w.form.evaluate(p) == 0 for p in pts)
+    assert _product_of_lines_witness(None, P2, pts, nfactors - 1) is None
+
+
+def test_matrix_mod_p_matches_pow():
+    rng = random.Random(11)
+    p = SCAN_PRIME
+    pts = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(30)]
+    table = _power_table(pts, 3, p)
+    table = _power_table(pts, 9, p, table)  # extended, as the scan grows D
+    assert table.shape == (10, 4, 30)
+    exps = np.array([[rng.randint(0, 9) for _ in range(4)] for _ in range(25)])
+    ref = [[prod(pow(x, int(e), p) for x, e in zip(pt, mono)) % p for mono in exps]
+           for pt in pts]
+    assert _matrix_mod_p(table, exps, p).tolist() == ref
+
+
+def test_minimal_omega_conic_forms_pinned(data_dir):
+    # sha256 of the witness text: its terms, sign and content stay fixed
+    forms, names = load_forms(data_dir / "conic.txt")
+    want = {32: "33f83fd8837f7bfb34f537ca723dbf5dd006386de959d21f9b907aef2e780357",
+            64: "d16631af24791c45148e48753a0491f5159340e75dd35c6ae44ec7adc75ee141"}
+    for B, digest in want.items():
+        r = minimal_omega(forms, names, B)
+        assert hashlib.sha256(r["form"].encode()).hexdigest() == digest
 
 
 def test_translation_search():

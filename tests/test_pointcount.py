@@ -381,6 +381,7 @@ def test_conic_points_line_pair_skipped():
     ell = MultiPoly.parse("T0 + T1 + T2 + 2*T3", T4)
     r = conic_points(Q, ell, 6)
     assert "skipped" in r.note
+    assert "singular" in r.note
     assert r.count == 51 and set(r.points) == brute_projective([ell, Q], T4, 6)
 
 
