@@ -26,11 +26,12 @@ from . import linalg
 from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm,
                      cycle_resultant_biform)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
-from .exactarith import eval_mod_p, ff_factor_linear, proj_points, reduce_mod_p
+from .exactarith import (eval_mod_p, factorize, ff_factor_linear, proj_points,
+                         reduce_mod_p)
 from .multipoly import (MultiPoly, bezout_cutoff, coefficients_in, embed,
                         essential_variable_count, gcd_binary_forms,
                         monomials_of_degree, restrict, sylvester_resultant)
-from .pointcount import CHUNK_FIBERS, _np_eval
+from .pointcount import CHUNK_FIBERS, _absmax, _np_eval
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
@@ -597,15 +598,29 @@ def _int_binary_forms(pencil: ConicPencil):
     return [[int(c * den) for c in row] for row in rows], d
 
 
-def _height_at(rows, d: int, t1: int, t2: int) -> int:
-    """Naive height of the member with integer coefficient rows ``rows``
-    (from ``_int_binary_forms``) at primitive integer (t1, t2)."""
-    pw = [t1 ** (d - i) * t2 ** i for i in range(d + 1)]
-    vals = [sum(c * w for c, w in zip(r, pw)) for r in rows]
-    g = gcd(*vals)
-    if g == 0:
+def _heights(rows, d: int, pairs):
+    """Naive heights of the members with integer coefficient rows ``rows``
+    (from ``_int_binary_forms``) at the primitive integer pairs (t1, t2) of
+    ``pairs``, as an array: max |v| // gcd(v) over the values v = rows @
+    (t1^d, t1^(d-1) t2, ..., t2^d).
+
+    The values are exact in int64 while (largest row sum of |c|) * T^d,
+    T the largest |t|, stays below 2^62; above that they run on Python
+    integers (object arrays), as in ``pointcount._np_eval``.
+    """
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    T = _absmax(pairs)
+    big = max(sum(map(abs, r)) for r in rows) * T ** d >= 1 << 62
+    dtype = object if big else np.int64
+    t1, t2 = pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
+    vals = np.array(rows, dtype=dtype) @ np.stack([t1 ** (d - i) * t2 ** i
+                                                   for i in range(d + 1)])
+    g = np.gcd.reduce(vals, axis=0)
+    zero = np.flatnonzero(g == 0)
+    if len(zero):
+        t1, t2 = pairs[zero[0]].tolist()
         raise PropertyViolationError(f"family vanishes at t = ({t1}, {t2})")
-    return max(map(abs, vals)) // g
+    return abs(vals).max(axis=0) // g
 
 
 def census_cutoff_constant(pencil: ConicPencil):
@@ -619,15 +634,20 @@ def census_cutoff_constant(pencil: ConicPencil):
 
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:
     """Naive height of the family member at primitive integer (t1, t2)."""
-    return _height_at(*_int_binary_forms(pencil), t1, t2)
+    return int(_heights(*_int_binary_forms(pencil), [(t1, t2)])[0])
 
 
-def _primitive_pairs(m_max: int):
-    yield (0, 1)
-    for t1 in range(1, m_max + 1):
-        for t2 in range(-m_max, m_max + 1):
-            if gcd(t1, abs(t2)) == 1:
-                yield (t1, t2)
+def _primitive_pair_blocks(m_max: int, step: int):
+    """The primitive pairs (0, 1), then (t1, t2) with 1 <= t1 <= m_max,
+    |t2| <= m_max, t2 running fastest, as (N, 2) arrays of at most ``step``
+    pairs."""
+    yield np.array([(0, 1)])
+    width = 2 * m_max + 1
+    for start in range(0, m_max * width, step):
+        k = np.arange(start, min(m_max * width, start + step))
+        t1, t2 = 1 + k // width, k % width - m_max
+        keep = np.gcd(t1, t2) == 1
+        yield np.stack([t1[keep], t2[keep]], axis=1)
 
 
 def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
@@ -635,12 +655,13 @@ def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
 
     The enumeration region is certified complete via the exact cutoff
     constant; with no coprime coefficient pair available it falls back to a
-    hard cap and says so.
+    hard cap and says so.  Heights are taken in blocks of parameters whose
+    values fit CHUNK_FIBERS entries.
     """
     if B < 1:
         raise DomainError("B must be >= 1")
-    cut = census_cutoff_constant(pencil)
-    d = pencil.family_degree
+    rows, d = _int_binary_forms(pencil)
+    cut = bezout_cutoff(rows, d)
     if cut is not None:
         c = cut[0]
         m_max = int((B / float(c)) ** (1.0 / d)) + 1
@@ -648,19 +669,27 @@ def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
     else:
         m_max = hard_cap
         certified = False
-    rows, _unused = _int_binary_forms(pencil)
     count = 0
     samples = []
-    for t1, t2 in _primitive_pairs(m_max):
-        H = _height_at(rows, d, t1, t2)
-        if H <= B:
-            count += 1
-            if len(samples) < 12:
-                samples.append({"t": (t1, t2), "H": H})
+    for pairs in _primitive_pair_blocks(m_max, max(1, CHUNK_FIBERS // len(rows))):
+        H = _heights(rows, d, pairs)
+        # integer H: H <= B exactly when H <= floor(B), with no float cast
+        hits = np.flatnonzero(H <= math.floor(B))
+        count += len(hits)
+        for k in hits[:12 - len(samples)]:
+            samples.append({"t": tuple(pairs[k].tolist()), "H": int(H[k])})
     return {"B": float(B), "count": count, "certified_complete": certified,
             "cutoff_m": m_max, "family_degree": d,
             "cutoff_constant": str(cut[0]) if cut else None,
             "samples": samples}
+
+
+def _totient(k: int) -> int:
+    """Euler's phi of k >= 1."""
+    phi = k
+    for p in factorize(k):
+        phi -= phi // p
+    return phi
 
 
 def height_pairing_check(pencil: ConicPencil, n_samples: int = 200,
@@ -673,6 +702,16 @@ def height_pairing_check(pencil: ConicPencil, n_samples: int = 200,
     h(psi^t) = d * h(t) + O(1), so the slope of the 2h(t)-residual comes out
     near d - 2 (zero exactly when the family degree is 2).
     """
+    # the classes up to sign of primitive pairs with max |t| = k number
+    # 4 phi(k); (1, 0), (0, 1) and (1, 1) are always drawn
+    total, k = 0, 0
+    while max(3, 4 * total) < n_samples and k < max_height:
+        k += 1
+        total += _totient(k)
+    classes = max(3, 4 * total)
+    if classes < n_samples:
+        raise DomainError(f"n_samples = {n_samples} exceeds the {classes} primitive "
+                          f"classes of height <= {max_height}")
     rng = random.Random(seed)
     pts = {(1, 0), (0, 1), (1, 1)}
     while len(pts) < n_samples:
@@ -688,11 +727,10 @@ def height_pairing_check(pencil: ConicPencil, n_samples: int = 200,
         if t1 < 0 or (t1 == 0 and t2 < 0):
             t1, t2 = -t1, -t2
         pts.add((t1, t2))
-    rows, d = _int_binary_forms(pencil)
+    pts = sorted(pts)
     xs, ys, hs = [], [], []
     res_max = 0.0
-    for t1, t2 in sorted(pts):
-        H = _height_at(rows, d, t1, t2)
+    for (t1, t2), H in zip(pts, _heights(*_int_binary_forms(pencil), pts).tolist()):
         ht = math.log(max(abs(t1), abs(t2)))
         resid = math.log(H) - 2 * ht
         xs.append(ht)

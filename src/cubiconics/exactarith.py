@@ -21,6 +21,7 @@ from .errors import BudgetError, DomainError
 from .multipoly import MultiPoly
 
 DEFAULT_FF_BUDGET = 4_000_000
+FF_BLOCK = 1 << 13  # candidate coordinates per block of the linear-factor search
 
 
 @dataclass(frozen=True)
@@ -244,16 +245,13 @@ class GFContext:
             raise ZeroDivisionError("inverse of zero in GF")
         return self._inv[a]
 
-    def evaluate(self, red: dict, pt) -> int:
-        """Value at pt (encoded elements) of a form reduced mod p."""
-        add, mul = self._add, self._mul
-        total = 0
-        for exps, c in red.items():
-            for x, k in zip(pt, exps):
-                for _ in range(k):
-                    c = mul[c][x]
-            total = add[total][c]
-        return total
+    @functools.cached_property
+    def tables(self):
+        """numpy copies (add, mul, neg) of the field tables, for gathers
+        over arrays of encoded elements, in the smallest unsigned dtype that
+        holds q - 1."""
+        dt = np.min_scalar_type(self.q - 1)
+        return tuple(np.array(t, dtype=dt) for t in (self._add, self._mul, self._neg))
 
     def element_str(self, a):
         if self.e == 1:
@@ -332,6 +330,20 @@ class LinearFactor:
         return " + ".join(bits)
 
 
+def _proj_points_array(q: int, nvars: int, dtype):
+    """``proj_points(q, nvars)`` as an (N, nvars) array, in the same order,
+    and the index of each row's leading 1."""
+    blocks, pivs = [], []
+    for lead in range(nvars):
+        k = nvars - lead - 1
+        block = np.zeros((q ** k, nvars), dtype=dtype)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.indices((q,) * k, dtype=dtype).reshape(k, q ** k).T
+        blocks.append(block)
+        pivs.append(np.full(q ** k, lead, dtype=dtype))
+    return np.concatenate(blocks), np.concatenate(pivs)
+
+
 def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
                      budget: int = DEFAULT_FF_BUDGET):
     """All linear forms over GF(p^extension_degree) dividing f (up to scalar),
@@ -344,6 +356,12 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
     vanishes on a grid S^(nvars-1) with |S| = d + 1 is zero (Alon's
     Combinatorial Nullstellensatz).  S is {0..d} in the smallest GF(p^E)
     containing GF(p^e), E <= 3, with more than d elements.
+
+    The candidates are taken in blocks of FF_BLOCK coordinates.  In each
+    block the grid is walked one point at a time, and each point evaluates
+    f at once on every candidate still alive, by gathers from the numpy
+    copies of the GF(p^E) tables; a candidate whose value is nonzero is
+    dropped.
     """
     nvars = len(f.names)
     e = extension_degree
@@ -360,22 +378,47 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
     if E is None:
         raise DomainError(f"no field GF({p}^E), E <= 3, has more than {d} elements")
     grid_ctx = gf_context(p, E)
-    add, mul, neg = grid_ctx._add, grid_ctx._mul, grid_ctx._neg
+    cands, piv = _proj_points_array(ctx.q, nvars, grid_ctx.tables[0].dtype)
+    step = max(1, FF_BLOCK // nvars)
+    found = []
+    for s in range(0, len(cands), step):
+        found += _vanishing_hyperplanes(cands[s:s + step], piv[s:s + step], red, d,
+                                        grid_ctx).tolist()
+    return [LinearFactor(p, e, tuple(ell)) for ell in found], ctx
+
+
+def _vanishing_hyperplanes(cands, piv, red, d, grid_ctx):
+    """The rows ell of ``cands`` (leading 1 at ``piv``) such that the form
+    ``red`` vanishes at every point of ell = 0 with free coordinates in
+    {0..d} of GF(p^E), evaluated on all rows still alive at once."""
+    add, mul, neg = grid_ctx.tables
+    # powers[x, k] = x^k in GF(p^E); elements of GF(p^e) keep their codes
+    powers = np.ones((grid_ctx.q, d + 1), dtype=mul.dtype)
+    for k in range(1, d + 1):
+        powers[:, k] = mul[powers[:, k - 1], np.arange(grid_ctx.q)]
+    nvars = cands.shape[1]
+    # on ell = 0, x_piv = sum_{j > piv} -c_j x_j, and the other coordinates
+    # are the free grid coordinates in order
+    after = np.arange(nvars) > piv[:, None]
+    slope = np.where(after, neg[cands], 0)
     # descending, so the origin (a zero of every form without a constant
     # term) comes last
-    grid = list(itertools.product(range(d, -1, -1), repeat=nvars - 1))
-    found = []
-    for ell in proj_points(ctx.q, nvars):
-        piv = ell.index(1)
-        tail = [(j, neg[c]) for j, c in enumerate(ell) if c and j > piv]
-        for free in grid:
-            # the point of ell = 0 with these free coordinates
-            pt = list(free)
-            pt.insert(piv, 0)
-            for j, c in tail:
-                pt[piv] = add[pt[piv]][mul[c][pt[j]]]
-            if grid_ctx.evaluate(red, pt):
-                break
-        else:
-            found.append(LinearFactor(p, e, ell))
-    return found, ctx
+    for free in itertools.product(range(d, -1, -1), repeat=nvars - 1):
+        if not len(cands):
+            break
+        pt = np.where(after, np.array((0,) + free, dtype=add.dtype),
+                      np.array(free + (0,), dtype=add.dtype))
+        x = np.zeros(len(cands), dtype=add.dtype)
+        for j in range(nvars):
+            x = add[x, mul[slope[:, j], pt[:, j]]]
+        pt[np.arange(len(cands)), piv] = x
+        total = np.zeros(len(cands), dtype=add.dtype)
+        for exps, c in red.items():
+            term = np.full(len(cands), c, dtype=add.dtype)
+            for j, k in enumerate(exps):
+                if k:
+                    term = mul[term, powers[pt[:, j], k]]
+            total = add[total, term]
+        alive = total == 0
+        cands, piv, after, slope = cands[alive], piv[alive], after[alive], slope[alive]
+    return cands

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, MacaulayDegenerateError, NonDivisibleError
-from .linalg import det, exact_kernel, solve
+from .linalg import _echelon, det, exact_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -660,24 +660,40 @@ def bezout_cutoff(rows, d: int):
 
     A coprime pair has the Bezout identities A q1 + B q2 = D t1^(2d-1) and
     A' q1 + B' q2 = D t2^(2d-1) with integer A, B, A', B' of degree d - 1
-    over one common multiplier D, read off the Sylvester matrix.  At
-    primitive t they bound the content of q(t) by |D| and give
-    max(|q1(t)|, |q2(t)|) >= H(t)^d * |D| / w, w the largest coefficient sum
-    of |A| + |B| and |A'| + |B'|, so c = 1 / w.  The best pair is kept.
+    over one common multiplier D.  At primitive t they bound the content of
+    q(t) by |D| and give max(|q1(t)|, |q2(t)|) >= H(t)^d * |D| / w, w the
+    largest coefficient sum of |A| + |B| and |A'| + |B'|, so c = 1 / w.  The
+    best pair is kept.
+
+    For each pair, one fraction-free echelon of the transposed Sylvester
+    matrix S augmented with e_0 and e_(n-1) gives both vectors at once: its
+    last pivot is Delta = +-det S, and the back substitution runs in
+    integers on y = Delta x, every division exact by Cramer's rule.  The
+    least common multiplier is D = |Delta| / g, g the gcd of Delta and all
+    of y, so w = max(sum |y|) / g.  A pivot outside the first n columns, or
+    fewer than n pivots, means det S = 0: the pair is not coprime.
     """
     n = 2 * d
-    ends = [[int(i == 0) for i in range(n)], [int(i == n - 1) for i in range(n)]]
+    ends = [(int(i == 0), int(i == n - 1)) for i in range(n)]
     best = None
     for r1, r2 in itertools.combinations([r for r in rows if any(r)], 2):
-        try:
-            sols = solve([list(col) for col in zip(*sylvester_rows(r1, r2))], ends, n)
-        except DomainError:
+        cols = zip(*sylvester_rows(r1, r2))
+        ech, pivots, _ = _echelon([list(c) + list(b) for c, b in zip(cols, ends)], n + 2)
+        if pivots != list(range(n)):
             continue  # resultant vanished: pair not coprime
-        D = lcm(*(x.denominator for sol in sols for x in sol))
-        worst = max(sum(abs(int(x * D)) for x in sol) for sol in sols)
-        if worst and (best is None or Fraction(1, worst) > best[0]):
-            best = (Fraction(1, worst), (r1, r2))
-    return best
+        delta = ech[-1][n - 1]
+        g, sums = delta, []
+        for k in (n, n + 1):
+            y = [0] * n
+            for r in range(n - 1, -1, -1):
+                row = ech[r]
+                y[r] = (delta * row[k] - sum(row[j] * y[j] for j in range(r + 1, n))) // row[r]
+            g = gcd(g, *y)
+            sums.append(sum(map(abs, y)))
+        worst = max(sums) // g
+        if best is None or worst < best[0]:
+            best = (worst, (r1, r2))
+    return None if best is None else (Fraction(1, best[0]), best[1])
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:

@@ -17,7 +17,7 @@ from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
                                      height_pairing_check, leading_family,
                                      line_in_forms, residual_conic,
                                      specialized_height)
-from cubiconics.errors import BudgetError, DomainError
+from cubiconics.errors import BudgetError, DomainError, PropertyViolationError
 from cubiconics.multipoly import MultiPoly, gcd_binary_forms
 
 P3C = ("T0", "T1", "T2")
@@ -288,6 +288,76 @@ def test_height_pairing(fermat_pencil):
     assert abs(rep["fitted_height_exponent"] - fermat_pencil.family_degree) < 0.2
     # and the 2h(t)-residual slope therefore sits near degree - 2
     assert abs(rep["slope"] - (fermat_pencil.family_degree - 2)) < 0.2
+
+
+def _height_by_python(rows, d, t1, t2):
+    vals = [sum(c * t1 ** (d - i) * t2 ** i for i, c in enumerate(r)) for r in rows]
+    return max(map(abs, vals)) // gcd(*vals)
+
+
+def _random_primitive_pairs(rng, tmax, n):
+    out = []
+    while len(out) < n:
+        t1, t2 = rng.randint(-tmax, tmax), rng.randint(-tmax, tmax)
+        if gcd(t1, t2) == 1:
+            out.append((t1, t2))
+    return out
+
+
+def test_heights_match_python_on_both_sides_of_the_int64_switch():
+    rng = random.Random(21)
+    d = 3
+    cases = [
+        # |c| near 10^10 with small |t| and |c| <= 1 with |t| near 10^6 stay
+        # in int64; |c| near 10^10 with |t| near 10^6 does not
+        ([[rng.randint(-10 ** 10, 10 ** 10) for _ in range(d + 1)] for _ in range(5)], 60, np.int64),
+        ([[rng.choice((-1, 0, 1)) for _ in range(d + 1)] for _ in range(5)] + [[1, 0, 0, 1]],
+         10 ** 6, np.int64),
+        ([[rng.randint(-10 ** 10, 10 ** 10) for _ in range(d + 1)] for _ in range(5)], 10 ** 6, object),
+    ]
+    for rows, tmax, dtype in cases:
+        pairs = _random_primitive_pairs(rng, tmax, 40) + [(1, 0), (0, 1), (tmax, 1 - tmax)]
+        H = cubic_conics._heights(rows, d, pairs)
+        assert H.dtype == dtype
+        assert H.tolist() == [_height_by_python(rows, d, t1, t2) for t1, t2 in pairs]
+    # the switch itself: (row sum of |c|) * T^d just below and at 2^62
+    T = 2 ** 20
+    for s, dtype in ((2 ** 2 - 1, np.int64), (2 ** 2, object)):
+        rows = [[s, 0, 0, 0], [0, 0, 0, 1]]
+        H = cubic_conics._heights(rows, d, [(T, 1), (T, -T + 1)])
+        assert H.dtype == dtype
+        assert H.tolist() == [_height_by_python(rows, d, t1, t2)
+                              for t1, t2 in [(T, 1), (T, -T + 1)]]
+
+
+def test_heights_reject_a_vanishing_member():
+    rows = [[1, -1, 0], [2, -2, 0]]  # t1 (t1 - t2) and twice it
+    assert cubic_conics._heights(rows, 2, [(1, 2)]).tolist() == [2]
+    with pytest.raises(PropertyViolationError, match=r"t = \(1, 1\)"):
+        cubic_conics._heights(rows, 2, [(1, 2), (1, 1), (0, 1)])
+
+
+def test_census_blocks_split_the_pair_range(fermat_pencil, monkeypatch):
+    whole = conic_census(fermat_pencil, 60)
+    rows, d = cubic_conics._int_binary_forms(fermat_pencil)
+    m = whole["cutoff_m"]
+    pairs = [(0, 1)] + [(t1, t2) for t1 in range(1, m + 1) for t2 in range(-m, m + 1)
+                        if gcd(t1, t2) == 1]
+    hits = [(t, H) for t in pairs if (H := _height_by_python(rows, d, *t)) <= 60]
+    assert whole["count"] == len(hits)
+    assert whole["samples"] == [{"t": t, "H": H} for t, H in hits[:12]]
+    # blocks of 7 and 10 parameters, so block edges fall inside t1 rows
+    for block in (7, 10):
+        monkeypatch.setattr(cubic_conics, "CHUNK_FIBERS", block * len(rows))
+        assert conic_census(fermat_pencil, 60) == whole
+
+
+def test_height_pairing_refuses_more_samples_than_classes(fermat_pencil):
+    # 4 * (phi(1) + phi(2) + phi(3)) = 16 primitive classes of height <= 3
+    assert height_pairing_check(fermat_pencil, n_samples=16, max_height=3)["samples"] == 16
+    for n, M in ((5, 1), (17, 3)):
+        with pytest.raises(DomainError, match="exceeds"):
+            height_pairing_check(fermat_pencil, n_samples=n, max_height=M)
 
 
 def _plane_through(x, seed):

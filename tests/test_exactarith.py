@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from cubiconics.cayley import PLUCKER, grassmann_relation
 from cubiconics.errors import BudgetError, DomainError
 from cubiconics.exactarith import (GFContext, bertrand_prime, eval_mod_p,
                                    factorize, ff_factor_linear, gf_context,
                                    mertens_check,
                                    prime_sum_over_divisors, primes_up_to,
                                    proj_points, reduce_mod_p, theta_psi_phi)
+from cubiconics.hilbert_samuel import is_geometrically_integral_quadratic
 from cubiconics.multipoly import MultiPoly, monomials_of_degree
 
 
@@ -192,6 +194,67 @@ def test_ff_factor_linear_cubic_splitting_over_f8():
     factors, _ = ff_factor_linear(f, 2, 3)
     assert len(factors) == 3
     assert all(x.coeffs[0] == 1 and x.coeffs[1] and x.coeffs[2] == 0 for x in factors)
+
+
+def _normalized_mod_p(coeffs, p):
+    lead = next(c for c in coeffs if c % p)
+    inv = pow(lead, -1, p)
+    return tuple(c * inv % p for c in coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ff_factor_linear_returns_the_distinct_factors_of_a_product(p):
+    # over F_p the linear divisors of l1 l2 l3 are the li themselves, by
+    # unique factorization; the search returns each once, in proj_points order
+    rng = random.Random(100 + p)
+    for nvars in (2, 3, 4):
+        names = tuple(f"T{i}" for i in range(nvars))
+        order = {pt: k for k, pt in enumerate(proj_points(p, nvars))}
+        for _ in range(6):
+            ells = []
+            while len(ells) < 3:
+                c = [rng.randrange(p) for _ in names]
+                if any(c):
+                    ells.append(c)
+            f = MultiPoly.constant(1, names)
+            for c in ells:
+                f = f * _linear_form(c, names)
+            want = sorted({_normalized_mod_p(c, p) for c in ells}, key=order.__getitem__)
+            factors, _ = ff_factor_linear(f, p, 1)
+            assert [x.coeffs for x in factors] == want, (str(f), p)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_ff_factor_linear_conjugate_pair_only_over_the_square_extension(p):
+    # -1 is not a square mod 3 or 7, so T0^2 + T1^2 splits into
+    # T0 + i T1 and T0 - i T1 over GF(p^2) only
+    names = ("T0", "T1", "T2")
+    f = MultiPoly.parse("T0^2*T2 + T1^2*T2", names)
+    assert [x.coeffs for x in ff_factor_linear(f, p, 1)[0]] == [(0, 0, 1)]
+    factors, ctx = ff_factor_linear(f, p, 2)
+    roots = [a for a in range(ctx.q) if ctx.mul(a, a) == ctx.neg(1)]
+    assert len(roots) == 2
+    assert [x.coeffs for x in factors] == [(1, a, 0) for a in roots] + [(0, 0, 1)]
+
+
+def test_ff_factor_linear_plucker_quadrics_in_characteristic_2():
+    # the hilbert_samuel route: six variables, p = 2, e = 1 and 2
+    names = PLUCKER
+    G = grassmann_relation()
+    assert ff_factor_linear(G, 2, 1)[0] == ff_factor_linear(G, 2, 2)[0] == []
+    assert is_geometrically_integral_quadratic(G, 2)
+    split = MultiPoly.parse("p01*p13 + p01*p23 + p02*p13 + p02*p23", names)
+    factors, _ = ff_factor_linear(split, 2, 1)
+    want = [ell for ell in proj_points(2, 6) if _divides_mod_p(ell, split, 2)]
+    assert [x.coeffs for x in factors] == want == [(1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1)]
+    assert not is_geometrically_integral_quadratic(split, 2)
+    # p01^2 + p01 p02 + p02^2 has its two factors over F_4 only
+    conj = MultiPoly.parse("p01^2 + p01*p02 + p02^2", names)
+    assert ff_factor_linear(conj, 2, 1)[0] == []
+    factors, ctx = ff_factor_linear(conj, 2, 2)
+    assert [x.coeffs[:2] for x in factors] == [(1, 2), (1, 3)]
+    assert all(x.coeffs[2:] == (0, 0, 0, 0) for x in factors)
+    assert not is_geometrically_integral_quadratic(conj, 2)
 
 
 def test_ff_factor_linear_domain_errors():

@@ -1,16 +1,18 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubiconics.errors import DomainError, NonDivisibleError
-from cubiconics.linalg import det, exact_kernel, rank
-from cubiconics.multipoly import (MultiPoly, embed, essential_variable_count,
-                                  gcd_binary_forms, macaulay_resultant,
-                                  sylvester_resultant)
+from cubiconics.linalg import det, exact_kernel, rank, solve
+from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed,
+                                  essential_variable_count, gcd_binary_forms,
+                                  macaulay_resultant, sylvester_resultant,
+                                  sylvester_rows)
 
 T = ("T0", "T1", "T2", "T3")
 B2 = ("T0", "T1")
@@ -105,6 +107,53 @@ def test_essential_variables_invariant_under_unimodular_change():
         sub = {T[i]: MultiPoly.variable(T[i], T) + c * MultiPoly.variable(T[j], T)}
         f = f.substitute(sub)
         assert essential_variable_count(f)[0] == k0
+
+
+def _bezout_cutoff_by_solve(rows, d):
+    """Reference: both Bezout vectors in Fractions from linalg.solve, over
+    the lcm of all their denominators."""
+    n = 2 * d
+    ends = [[int(i == 0) for i in range(n)], [int(i == n - 1) for i in range(n)]]
+    best = None
+    for r1, r2 in itertools.combinations([r for r in rows if any(r)], 2):
+        try:
+            sols = solve([list(c) for c in zip(*sylvester_rows(r1, r2))], ends, n)
+        except DomainError:
+            continue
+        D = lcm(*(x.denominator for sol in sols for x in sol))
+        worst = max(sum(abs(int(x * D)) for x in sol) for sol in sols)
+        if best is None or Fraction(1, worst) > best[0]:
+            best = (Fraction(1, worst), (r1, r2))
+    return best
+
+
+def _poly_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bezout_cutoff_matches_fraction_solve(d):
+    rng = random.Random(40 + d)
+    for size in (5, 10 ** 4, 10 ** 12):
+        for _ in range(12):
+            rows = [[rng.randint(-size, size) for _ in range(d + 1)]
+                    for _ in range(rng.randint(2, 4))]
+            got = bezout_cutoff(rows, d)
+            assert got is not None and got == _bezout_cutoff_by_solve(rows, d)
+    # a pair with a common factor is skipped, alone or beside a coprime row
+    for size in (5, 10 ** 12):
+        lin = [rng.randint(1, size), rng.randint(-size, size)]
+        r1 = _poly_times(lin, [rng.randint(1, size) for _ in range(d)])
+        r2 = _poly_times(lin, [rng.randint(1, size) for _ in range(d)])
+        assert bezout_cutoff([r1, r2], d) is None
+        r3 = [1] + [0] * (d - 1) + [1]  # t1^d + t2^d, coprime to both here
+        got = bezout_cutoff([r1, r2, r3], d)
+        assert got is not None and got[1] != (r1, r2)
+        assert got == _bezout_cutoff_by_solve([r1, r2, r3], d)
 
 
 def test_sylvester_resultant():
