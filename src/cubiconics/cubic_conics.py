@@ -17,8 +17,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -29,9 +30,10 @@ from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import (eval_mod_p, factorize, ff_factor_linear, proj_points,
                          reduce_mod_p)
 from .multipoly import (MultiPoly, bezout_cutoff, coefficients_in, embed,
-                        essential_variable_count, gcd_binary_forms,
-                        monomials_of_degree, restrict, sylvester_resultant)
-from .pointcount import CHUNK_FIBERS, _absmax, _np_eval
+                        _heights, _primitive_pair_blocks, essential_variable_count,
+                        gcd_binary_forms, iroot, monomials_of_degree, restrict,
+                        sylvester_resultant)
+from .pointcount import CHUNK_FIBERS, _np_eval
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
@@ -367,6 +369,17 @@ class ConicPencil:
     def specialize(self, t1, t2) -> PluckerForm:
         return self.psi_family.specialize_t(t1, t2)
 
+    @cached_property
+    def int_rows(self):
+        """(rows, d): the integer coefficient rows, of length d + 1 with d
+        the family degree, of all 21 family coefficients, jointly
+        denominator-cleared; built once per pencil."""
+        d = self.family_degree
+        rows = [_binary_coeff_row(q, d) if not q.is_zero() else [Fraction(0)] * (d + 1)
+                for q in (self.b_ij[e] for e in monomials_of_degree(6, 2))]
+        den = lcm(*(c.denominator for row in rows for c in row))
+        return [[int(c * den) for c in row] for row in rows], d
+
 
 A_MONOMIAL_ORDER = (
     ("p01", "p01"), ("p02", "p02"), ("p03", "p03"),
@@ -582,72 +595,18 @@ def _distinct_projective_roots(q: MultiPoly) -> int:
 # --- census of bounded-height members ---------------------------------------------------
 
 
-def _int_binary_forms(pencil: ConicPencil):
-    """Integer coefficient rows (length family_degree + 1) of all 21 family
-    coefficients, jointly denominator-cleared."""
-    d = pencil.family_degree
-    rows = []
-    for e in monomials_of_degree(6, 2):
-        q = pencil.b_ij[e]
-        row = _binary_coeff_row(q, d) if not q.is_zero() else [Fraction(0)] * (d + 1)
-        rows.append(row)
-    den = 1
-    for row in rows:
-        for c in row:
-            den = den * c.denominator // gcd(den, c.denominator)
-    return [[int(c * den) for c in row] for row in rows], d
-
-
-def _heights(rows, d: int, pairs):
-    """Naive heights of the members with integer coefficient rows ``rows``
-    (from ``_int_binary_forms``) at the primitive integer pairs (t1, t2) of
-    ``pairs``, as an array: max |v| // gcd(v) over the values v = rows @
-    (t1^d, t1^(d-1) t2, ..., t2^d).
-
-    The values are exact in int64 while (largest row sum of |c|) * T^d,
-    T the largest |t|, stays below 2^62; above that they run on Python
-    integers (object arrays), as in ``pointcount._np_eval``.
-    """
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    T = _absmax(pairs)
-    big = max(sum(map(abs, r)) for r in rows) * T ** d >= 1 << 62
-    dtype = object if big else np.int64
-    t1, t2 = pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
-    vals = np.array(rows, dtype=dtype) @ np.stack([t1 ** (d - i) * t2 ** i
-                                                   for i in range(d + 1)])
-    g = np.gcd.reduce(vals, axis=0)
-    zero = np.flatnonzero(g == 0)
-    if len(zero):
-        t1, t2 = pairs[zero[0]].tolist()
-        raise PropertyViolationError(f"family vanishes at t = ({t1}, {t2})")
-    return abs(vals).max(axis=0) // g
-
-
 def census_cutoff_constant(pencil: ConicPencil):
     """Exact c > 0 with H(psi^t) >= c * H(t)^d for primitive t (d the family
     degree), with the coprime pair of coefficient rows whose Bezout
     identities certify it; None when no coprime pair exists.  The identities
     also bound the specialization content, which is what makes the census
     region certified (``multipoly.bezout_cutoff``)."""
-    return bezout_cutoff(*_int_binary_forms(pencil))
+    return bezout_cutoff(*pencil.int_rows)
 
 
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:
     """Naive height of the family member at primitive integer (t1, t2)."""
-    return int(_heights(*_int_binary_forms(pencil), [(t1, t2)])[0])
-
-
-def _primitive_pair_blocks(m_max: int, step: int):
-    """The primitive pairs (0, 1), then (t1, t2) with 1 <= t1 <= m_max,
-    |t2| <= m_max, t2 running fastest, as (N, 2) arrays of at most ``step``
-    pairs."""
-    yield np.array([(0, 1)])
-    width = 2 * m_max + 1
-    for start in range(0, m_max * width, step):
-        k = np.arange(start, min(m_max * width, start + step))
-        t1, t2 = 1 + k // width, k % width - m_max
-        keep = np.gcd(t1, t2) == 1
-        yield np.stack([t1[keep], t2[keep]], axis=1)
+    return int(_heights(*pencil.int_rows, [(t1, t2)])[0])
 
 
 def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
@@ -660,11 +619,12 @@ def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
     """
     if B < 1:
         raise DomainError("B must be >= 1")
-    rows, d = _int_binary_forms(pencil)
+    rows, d = pencil.int_rows
     cut = bezout_cutoff(rows, d)
     if cut is not None:
-        c = cut[0]
-        m_max = int((B / float(c)) ** (1.0 / d)) + 1
+        # H(t)^d <= B / c at every member of height <= B; the box runs one
+        # past that root, the cutoff_m the reports give
+        m_max = iroot(math.floor(Fraction(B) / cut[0]), d) + 1
         certified = True
     else:
         m_max = hard_cap
@@ -730,7 +690,7 @@ def height_pairing_check(pencil: ConicPencil, n_samples: int = 200,
     pts = sorted(pts)
     xs, ys, hs = [], [], []
     res_max = 0.0
-    for (t1, t2), H in zip(pts, _heights(*_int_binary_forms(pencil), pts).tolist()):
+    for (t1, t2), H in zip(pts, _heights(*pencil.int_rows, pts).tolist()):
         ht = math.log(max(abs(t1), abs(t2)))
         resid = math.log(H) - 2 * ht
         xs.append(ht)

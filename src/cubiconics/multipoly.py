@@ -19,7 +19,10 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError, MacaulayDegenerateError, NonDivisibleError
+import numpy as np
+
+from .errors import (DomainError, MacaulayDegenerateError, NonDivisibleError,
+                     PropertyViolationError)
 from .linalg import _echelon, det, exact_kernel
 
 _ZERO = Fraction(0)
@@ -649,6 +652,64 @@ def sylvester_rows(fc, gc):
     m, n = len(fc) - 1, len(gc) - 1
     return ([[0] * k + list(fc) + [0] * (n - 1 - k) for k in range(n)]
             + [[0] * k + list(gc) + [0] * (m - 1 - k) for k in range(m)])
+
+
+def _absmax(a):
+    """Largest entry magnitude of an integer array (0 when it is empty)."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+def _primitive_pair_blocks(m_max: int, step: int):
+    """The primitive pairs (0, 1), then (t1, t2) with 1 <= t1 <= m_max,
+    |t2| <= m_max, t2 running fastest, as (N, 2) arrays of at most ``step``
+    pairs."""
+    yield np.array([(0, 1)])
+    width = 2 * m_max + 1
+    for start in range(0, m_max * width, step):
+        k = np.arange(start, min(m_max * width, start + step))
+        t1, t2 = 1 + k // width, k % width - m_max
+        keep = np.gcd(t1, t2) == 1
+        yield np.stack([t1[keep], t2[keep]], axis=1)
+
+
+def _heights(rows, d: int, pairs):
+    """Naive heights of the vectors of degree-d binary forms with integer
+    coefficient ``rows`` (leading coefficient first, as for
+    ``bezout_cutoff``) at the primitive integer pairs (t1, t2) of ``pairs``,
+    as an array: max |v| // gcd(v) over the values v = rows @
+    (t1^d, t1^(d-1) t2, ..., t2^d).  A zero vector raises
+    PropertyViolationError.
+
+    The values are exact in int64 while (largest row sum of |c|) * T^d,
+    T the largest |t|, stays below 2^62; above that they run on Python
+    integers (object arrays), as in ``pointcount._np_eval``.
+    """
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    T = _absmax(pairs)
+    big = max(sum(map(abs, r)) for r in rows) * T ** d >= 1 << 62
+    dtype = object if big else np.int64
+    t1, t2 = pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
+    vals = np.array(rows, dtype=dtype) @ np.stack([t1 ** (d - i) * t2 ** i
+                                                   for i in range(d + 1)])
+    g = np.gcd.reduce(vals, axis=0)
+    zero = np.flatnonzero(g == 0)
+    if len(zero):
+        t1, t2 = pairs[zero[0]].tolist()
+        raise PropertyViolationError(f"family vanishes at t = ({t1}, {t2})")
+    return abs(vals).max(axis=0) // g
+
+
+def iroot(n: int, d: int) -> int:
+    """Floor of the d-th root of an integer n >= 0, by Newton's iteration
+    from above, in integers."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 def bezout_cutoff(rows, d: int):

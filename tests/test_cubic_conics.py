@@ -339,7 +339,7 @@ def test_heights_reject_a_vanishing_member():
 
 def test_census_blocks_split_the_pair_range(fermat_pencil, monkeypatch):
     whole = conic_census(fermat_pencil, 60)
-    rows, d = cubic_conics._int_binary_forms(fermat_pencil)
+    rows, d = fermat_pencil.int_rows
     m = whole["cutoff_m"]
     pairs = [(0, 1)] + [(t1, t2) for t1 in range(1, m + 1) for t2 in range(-m, m + 1)
                         if gcd(t1, t2) == 1]

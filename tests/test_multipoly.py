@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank, solve
-from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed,
+from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, iroot,
                                   essential_variable_count, gcd_binary_forms,
                                   macaulay_resultant, sylvester_resultant,
                                   sylvester_rows)
@@ -352,3 +352,12 @@ def test_exact_divide_matches_max_scan(case):
         with pytest.raises(NonDivisibleError) as ei:
             f.exact_divide(g)
         assert ei.value.remainder == want_r
+
+
+def test_iroot_is_the_floor_of_the_root():
+    rng = random.Random(11)
+    for d in (1, 2, 3, 5):
+        for n in list(range(200)) + [k ** d + e for k in (10, 10 ** 6) for e in (-1, 0, 1)] \
+                + [rng.randrange(10 ** 40) for _ in range(200)]:
+            r = iroot(n, d)
+            assert r ** d <= n < (r + 1) ** d

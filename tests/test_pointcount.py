@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubiconics import pointcount
 from cubiconics.cayley import T4
 from cubiconics.cubic_conics import find_lines
 from cubiconics.errors import BudgetError, DomainError
@@ -33,6 +34,11 @@ def _int_forms(forms, names):
 
 def _vanishes(int_forms, raw):
     return not any(sum(c * prod(raw[i] ** k for i, k in zip(idx, e)) for e, c in terms)
+                   for idx, terms in int_forms)
+
+
+def _vanishes_mod(int_forms, raw, m):
+    return not any(sum(c * prod(raw[i] ** k for i, k in zip(idx, e)) for e, c in terms) % m
                    for idx, terms in int_forms)
 
 
@@ -105,6 +111,76 @@ def test_exactness_small_B_rescan():
     for B in (2, 4):
         fast = set(enumerate_projective([g], T4, B).points)
         assert fast == brute_projective([g], T4, B)
+
+
+# systems in T4 and their solved variable; each curved one is thinned by
+# the sieve in test_sieve_matches_brute
+SIEVE_CASES = {
+    # the double-root reproducer (T3-T0)^2 (T3+T1) + T2^3 - T2*T0^2
+    "reproducer": (["T3^3 + T1*T3^2 - 2*T0*T3^2 - 2*T0*T1*T3 + T0^2*T3"
+                    " + T0^2*T1 + T2^3 - T0^2*T2"], "T3"),
+    "quadratic": (["T0*T3^2 + T1^2*T3 - T2^3 + T0*T1*T2"], "T3"),
+    # vanishes identically on the fibers T0 = T1 = 0
+    "identically_zero": (["T0*T3^2 + T1*T2*T3 + T0*T1^2 + T1^3"], "T3"),
+    # a conic, solved on the pivot of its plane as conic_points does
+    "plane_system": (["T0 + 2*T1 - T2 + 3*T3", "T0^2 + T1*T2 - 2*T3^2 + T0*T3"], "T0"),
+    "fermat": (["T0^3 + T1^3 + T2^3 + T3^3"], "T3"),
+}
+CURVED = [name for name in SIEVE_CASES if name != "plane_system"]
+
+
+def _sieve_case(name):
+    texts, var = SIEVE_CASES[name]
+    forms = [MultiPoly.parse(t, T4) for t in texts]
+    others = tuple(n for n in T4 if n != var)
+    coeffs, _ = pointcount._solve_form_coeffs(forms, var)
+    # the tables of every modulus, as a scan of the benchmark's size builds
+    return forms, var, others, pointcount._sieve_tables(coeffs, others, 10 ** 6)
+
+
+@pytest.mark.parametrize("name", SIEVE_CASES)
+def test_sieve_matches_brute(name, monkeypatch):
+    forms, var, others, tables = _sieve_case(name)
+    # a form linear in the solved variable is not sieved
+    assert (len(tables) >= 2) if name in CURVED else tables == []
+    # all those tables at a small B, one outer coordinate per chunk and a
+    # few chunks per batch, so masks are cached across outer residues and
+    # fibers are re-batched
+    monkeypatch.setattr(pointcount, "_sieve_tables", lambda *args: tables)
+    monkeypatch.setattr(pointcount, "CHUNK_FIBERS", 15 ** 2)
+    monkeypatch.setattr(pointcount, "SIEVE_BATCH", 100)
+    B = 7
+    if tables:
+        # a sieve that lets every fiber through would pass the equalities below
+        kept = sum(len(p[0]) for p in pointcount._sieved_prefixes(tables, 3, B, half=True))
+        assert kept < ((2 * B + 1) ** 3 - 1) // 2
+    r = enumerate_projective(forms, T4, B, solve_var=var)
+    assert r.points == tuple(sorted(brute_projective(forms, T4, B)))
+    names = others + (var,)
+    for norm in ("euclidean", "max"):
+        r = enumerate_affine(forms, names, 6, norm=norm)
+        assert r.points == tuple(brute_affine(forms, names, 6, norm))
+
+
+@pytest.mark.parametrize("name", CURVED)
+def test_sieve_tables_match_residue_check(name):
+    forms, var, others, tables = _sieve_case(name)
+    tables = dict(tables)
+    int_forms = _int_forms(forms, T4)
+    pos = [T4.index(n) for n in others + (var,)]
+    for m in (5, 7, 9):
+        want = np.zeros((m,) * 3, dtype=bool)
+        for r in itertools.product(range(m), repeat=3):
+            raw = [0] * 4
+            for i, v in zip(pos, r):
+                raw[i] = v
+            for x in range(m):
+                raw[pos[-1]] = x
+                if _vanishes_mod(int_forms, raw, m):
+                    want[r] = True
+                    break
+        # a table that passes every residue is left out
+        assert (m not in tables) if want.all() else (tables[m] == want).all()
 
 
 @st.composite
