@@ -27,8 +27,8 @@ from . import linalg
 from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm,
                      cycle_resultant_biform)
 from .errors import (BudgetError, DomainError, PropertyViolationError)
-from .exactarith import (eval_mod_p, factorize, ff_factor_linear, proj_points,
-                         reduce_mod_p)
+from .exactarith import (factorize, ff_factor_linear, gf_context, gf_eval,
+                         proj_points, reduce_mod_p)
 from .multipoly import (MultiPoly, bezout_cutoff, coefficients_in, embed,
                         _heights, _primitive_pair_blocks, essential_variable_count,
                         gcd_binary_forms, iroot, monomials_of_degree, restrict,
@@ -37,6 +37,10 @@ from .pointcount import CHUNK_FIBERS, _np_eval
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
+# height bound of the search for lines in the singular locus
+SINGULAR_LINE_HEIGHT = 1
+# parameter box of a census with no coprime pair of coefficient rows
+CENSUS_HARD_CAP = 4000
 
 
 # --- surfaces and lines -----------------------------------------------------------
@@ -223,12 +227,11 @@ def smooth_mod_p(f: MultiPoly, p: int) -> bool:
     tables = [reduce_mod_p(g, p) for g in polys]
     if not tables[0]:
         return False  # degenerate reduction
-    return all(any(eval_mod_p(tab, pt, p) for tab in tables)
-               for pt in proj_points(p, 4))
+    pts, ctx = proj_points(p, 4), gf_context(p, 1)
+    return not np.logical_and.reduce([gf_eval(t, pts, ctx) == 0 for t in tables]).any()
 
 
-def classify_cubic(f: MultiPoly, primes=SMOOTHNESS_PRIMES,
-                   singular_line_height: int = 1) -> dict:
+def classify_cubic(f: MultiPoly) -> dict:
     """Structure report for a cubic surface: essential variables (cones),
     the affine cylinder test, smoothness evidence mod small primes, and a
     search for lines inside the singular locus.
@@ -250,7 +253,7 @@ def classify_cubic(f: MultiPoly, primes=SMOOTHNESS_PRIMES,
 
     evidence = []
     certified_smooth = None
-    for p in primes:
+    for p in SMOOTHNESS_PRIMES:
         ok = smooth_mod_p(f, p)
         evidence.append((p, ok))
         if ok:
@@ -260,7 +263,7 @@ def classify_cubic(f: MultiPoly, primes=SMOOTHNESS_PRIMES,
     singular_lines = []
     if certified_smooth is None:
         partials = [f.partial(n) for n in T4]
-        for block in _rref_line_candidates(singular_line_height, DEFAULT_LINE_BUDGET):
+        for block in _rref_line_candidates(SINGULAR_LINE_HEIGHT, DEFAULT_LINE_BUDGET):
             for rows in block[line_in_forms(block, partials + [f])]:
                 singular_lines.append(tuple(map(tuple, _fraction_rows(rows))))
 
@@ -595,27 +598,19 @@ def _distinct_projective_roots(q: MultiPoly) -> int:
 # --- census of bounded-height members ---------------------------------------------------
 
 
-def census_cutoff_constant(pencil: ConicPencil):
-    """Exact c > 0 with H(psi^t) >= c * H(t)^d for primitive t (d the family
-    degree), with the coprime pair of coefficient rows whose Bezout
-    identities certify it; None when no coprime pair exists.  The identities
-    also bound the specialization content, which is what makes the census
-    region certified (``multipoly.bezout_cutoff``)."""
-    return bezout_cutoff(*pencil.int_rows)
-
-
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:
     """Naive height of the family member at primitive integer (t1, t2)."""
     return int(_heights(*pencil.int_rows, [(t1, t2)])[0])
 
 
-def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
+def conic_census(pencil: ConicPencil, B) -> dict:
     """Count pencil parameters [t1:t2] whose family member has height <= B.
 
     The enumeration region is certified complete via the exact cutoff
-    constant; with no coprime coefficient pair available it falls back to a
-    hard cap and says so.  Heights are taken in blocks of parameters whose
-    values fit CHUNK_FIBERS entries.
+    constant of ``multipoly.bezout_cutoff``, whose Bezout identities also
+    bound the content of each member; with no coprime coefficient pair
+    available it falls back to CENSUS_HARD_CAP and says so.  Heights are
+    taken in blocks of parameters whose values fit CHUNK_FIBERS entries.
     """
     if B < 1:
         raise DomainError("B must be >= 1")
@@ -627,7 +622,7 @@ def conic_census(pencil: ConicPencil, B, hard_cap: int = 4000) -> dict:
         m_max = iroot(math.floor(Fraction(B) / cut[0]), d) + 1
         certified = True
     else:
-        m_max = hard_cap
+        m_max = CENSUS_HARD_CAP
         certified = False
     count = 0
     samples = []

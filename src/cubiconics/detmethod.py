@@ -46,12 +46,13 @@ import numpy as np
 from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
-from .linalg import exact_kernel, rank_mod_p
+from .linalg import _ROW_PRIME, exact_kernel, rank_mod_p
 from .multipoly import (MultiPoly, embed, gcd_binary_forms,
                         monomials_of_degree, restrict)
 from .pointcount import enumerate_projective, homogenize
 
-_SCAN_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
+# largest degree minimal_omega scans
+OMEGA_BUDGET = 200
 _SQUAREFREE_LINES = 4
 
 
@@ -220,7 +221,7 @@ def _vec_to_poly(v, monomials, names):
     return prim
 
 
-def minimal_omega(forms, names, B, budget_D: int = 200,
+def minimal_omega(forms, names, B,
                   constants: ExternalConstants | None = None,
                   enum_budget: float | None = None) -> dict:
     """Least degree omega admitting an auxiliary form through all points of
@@ -235,10 +236,10 @@ def minimal_omega(forms, names, B, budget_D: int = 200,
     points = res.points
     nvars = len(names)
     pivots, f = _quotient(forms, names)
-    p = _SCAN_PRIME
+    p = _ROW_PRIME
     table = None
     skipped = []
-    for D in range(1, budget_D + 1):
+    for D in range(1, OMEGA_BUDGET + 1):
         exps = np.array(monomials_of_degree(nvars, D), dtype=np.int64)
         std = _standard(exps, pivots, f)
         rank_p = 0
@@ -274,7 +275,7 @@ def minimal_omega(forms, names, B, budget_D: int = 200,
                     kind, {"n": nvars - 1, "delta": delta, "B": B}, constants)}
             return report
         skipped.append({**record, "note": "witness search exhausted over Q"})
-    raise BudgetError(f"no auxiliary form found up to degree {budget_D}",
+    raise BudgetError(f"no auxiliary form found up to degree {OMEGA_BUDGET}",
                       partial=skipped)
 
 
@@ -356,7 +357,7 @@ def _expand_product(factors):
 # --- translation search -------------------------------------------------------------
 
 
-def translation_search(f_affine: MultiPoly, box: int | None = None) -> dict:
+def translation_search(f_affine: MultiPoly) -> dict:
     """Integer translation a with |a_i| <= deg f making the translated
     variety's Cayley constant part nonzero; identity when already nonzero.
 
@@ -373,10 +374,9 @@ def translation_search(f_affine: MultiPoly, box: int | None = None) -> dict:
         raise DomainError("top Cayley part vanishes; translation lemma needs it nonzero")
     if 0 in parts and not parts[0].is_zero():
         return {"a": (0, 0, 0), "already_nonzero": True, "delta": delta}
-    cap = box if box is not None else delta
-    for a1 in range(-cap, cap + 1):
-        for a2 in range(-cap, cap + 1):
-            for a3 in range(-cap, cap + 1):
+    for a1 in range(-delta, delta + 1):
+        for a2 in range(-delta, delta + 1):
+            for a3 in range(-delta, delta + 1):
                 if (a1, a2, a3) == (0, 0, 0):
                     continue
                 Ft = transform_Ta([F], (a1, a2, a3))[0]
@@ -385,4 +385,4 @@ def translation_search(f_affine: MultiPoly, box: int | None = None) -> dict:
                     return {"a": (a1, a2, a3), "already_nonzero": False,
                             "delta": delta}
     raise PropertyViolationError(
-        f"no translation in the box |a_i| <= {cap} produced a nonzero constant part")
+        f"no translation in the box |a_i| <= {delta} produced a nonzero constant part")

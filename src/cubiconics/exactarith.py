@@ -169,19 +169,16 @@ def _find_irreducible(p: int, e: int):
     if e == 1:
         return (0, 1)
     for tail in range(p ** e):
-        coeffs = []
-        t = tail
-        for _ in range(e):
-            coeffs.append(t % p)
-            t //= p
-        poly = tuple(coeffs) + (1,)
+        poly = tuple(tail // p ** i % p for i in range(e)) + (1,)
         if all(sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p for x in range(p)):
             return poly
     raise AssertionError(f"no irreducible of degree {e} over F_{p}")
 
 
 class GFContext:
-    """GF(p^e) with element encoding sum(c_i p^i) and full add/mul tables.
+    """GF(p^e) with element encoding sum(c_i p^i) and full numpy add/mul/neg
+    tables, in the smallest unsigned dtype that holds q - 1, for gathers
+    over arrays of encoded elements.
 
     The defining polynomial is the deterministic first irreducible in lex
     order, so results are reproducible across runs and platforms.  Elements
@@ -195,70 +192,34 @@ class GFContext:
             raise DomainError("extension degree must be 1, 2 or 3")
         self.p, self.e, self.q = p, e, p ** e
         self.modulus = _find_irreducible(p, e)
-        digits = [self._decode(a) for a in range(self.q)]
-        self._add = [[self._encode([x + y for x, y in zip(a, b)]) for b in digits]
-                     for a in digits]
-        self._mul = [[0] * self.q for _ in range(self.q)]
-        for a, b in itertools.combinations_with_replacement(range(self.q), 2):
-            self._mul[a][b] = self._mul[b][a] = self._poly_mul_mod(digits[a], digits[b])
-        self._neg = [row.index(0) for row in self._add]
-        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
-
-    def _decode(self, a):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, cs):
-        v = 0
-        for c in reversed(cs):
-            v = v * self.p + (c % self.p)
-        return v
-
-    def _poly_mul_mod(self, ca, cb):
-        """Product of two digit lists modulo the defining polynomial."""
-        e = self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                prod[i + j] += x * y
-        # reduce modulo the defining polynomial (monic degree e)
-        for d in range(len(prod) - 1, e - 1, -1):
-            c = prod[d]
+        a = np.arange(self.q)
+        digits = [a // p ** i % p for i in range(e)]
+        # digit i of the product is the coefficient of g^i of the digit
+        # polynomials' product, reduced modulo the monic defining polynomial
+        prod = [sum(np.multiply.outer(digits[i], digits[k - i])
+                    for i in range(max(0, k - e + 1), min(k, e - 1) + 1))
+                for k in range(2 * e - 1)]
+        for k in range(2 * e - 2, e - 1, -1):
             for i in range(e):
-                prod[d - e + i] -= c * self.modulus[i]
-        return self._encode(prod[:e])
+                prod[k - e + i] -= prod[k] * self.modulus[i]
+        self.add = self._encode([np.add.outer(x, x) for x in digits])
+        self.mul = self._encode(prod[:e])
+        self.neg = self._encode([-x for x in digits])
 
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF")
-        return self._inv[a]
-
-    @functools.cached_property
-    def tables(self):
-        """numpy copies (add, mul, neg) of the field tables, for gathers
-        over arrays of encoded elements, in the smallest unsigned dtype that
-        holds q - 1."""
-        dt = np.min_scalar_type(self.q - 1)
-        return tuple(np.array(t, dtype=dt) for t in (self._add, self._mul, self._neg))
+    def _encode(self, digits):
+        """The read-only table of encoded elements with the given digit
+        arrays."""
+        out = sum(d % self.p * self.p ** i for i, d in enumerate(digits)).astype(
+            np.min_scalar_type(self.q - 1))
+        out.setflags(write=False)
+        return out
 
     def element_str(self, a):
         if self.e == 1:
             return str(a)
-        cs = self._decode(a)
         bits = []
-        for i, c in enumerate(cs):
+        for i in range(self.e):
+            c = a // self.p ** i % self.p
             if c == 0:
                 continue
             if i == 0:
@@ -291,24 +252,40 @@ def reduce_mod_p(f: MultiPoly, p: int) -> dict:
     return red
 
 
-def eval_mod_p(red: dict, pt, p: int) -> int:
-    """Value in F_p of a form reduced mod p at an integer point."""
-    total = 0
+def gf_eval(red: dict, pts, ctx: GFContext):
+    """Values of a form reduced mod p (``reduce_mod_p``) at the rows of
+    ``pts``, points of encoded elements of ``ctx``'s field, as an array, by
+    gathers from its tables."""
+    add, mul = ctx.add, ctx.mul
+    # powers[k][x] = x^k over the whole field, up to the degree of red
+    field = np.arange(ctx.q)
+    powers = [None, field]
+    for _ in range(max(map(sum, red), default=1) - 1):
+        powers.append(mul[powers[-1], field])
+    total = np.zeros(len(pts), dtype=add.dtype)
     for exps, c in red.items():
-        for x, k in zip(pt, exps):
+        term = np.full(len(pts), c, dtype=add.dtype)
+        for j, k in enumerate(exps):
             if k:
-                c = c * pow(x, k, p) % p
-        total += c
-    return total % p
+                term = mul[term, powers[k][pts[:, j]]]
+        total = add[total, term]
+    return total
 
 
 def proj_points(q: int, nvars: int):
     """Canonical representatives of P^{nvars-1}(F_q), first nonzero
     coordinate 1, with coordinates in range(q) (field encodings when q is a
-    prime power)."""
+    prime power), as the rows of an array in the dtype of the GF(q) tables:
+    by position of the leading 1, then lexicographically."""
+    dtype = np.min_scalar_type(q - 1)
+    blocks = []
     for lead in range(nvars):
-        for t in itertools.product(range(q), repeat=nvars - lead - 1):
-            yield (0,) * lead + (1,) + t
+        k = nvars - lead - 1
+        block = np.zeros((q ** k, nvars), dtype=dtype)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.indices((q,) * k, dtype=dtype).reshape(k, q ** k).T
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -330,20 +307,6 @@ class LinearFactor:
         return " + ".join(bits)
 
 
-def _proj_points_array(q: int, nvars: int, dtype):
-    """``proj_points(q, nvars)`` as an (N, nvars) array, in the same order,
-    and the index of each row's leading 1."""
-    blocks, pivs = [], []
-    for lead in range(nvars):
-        k = nvars - lead - 1
-        block = np.zeros((q ** k, nvars), dtype=dtype)
-        block[:, lead] = 1
-        block[:, lead + 1:] = np.indices((q,) * k, dtype=dtype).reshape(k, q ** k).T
-        blocks.append(block)
-        pivs.append(np.full(q ** k, lead, dtype=dtype))
-    return np.concatenate(blocks), np.concatenate(pivs)
-
-
 def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
                      budget: int = DEFAULT_FF_BUDGET):
     """All linear forms over GF(p^extension_degree) dividing f (up to scalar),
@@ -359,9 +322,8 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
 
     The candidates are taken in blocks of FF_BLOCK coordinates.  In each
     block the grid is walked one point at a time, and each point evaluates
-    f at once on every candidate still alive, by gathers from the numpy
-    copies of the GF(p^E) tables; a candidate whose value is nonzero is
-    dropped.
+    f at once on every candidate still alive, by gathers from the GF(p^E)
+    tables (``gf_eval``); a candidate whose value is nonzero is dropped.
     """
     nvars = len(f.names)
     e = extension_degree
@@ -378,25 +340,22 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
     if E is None:
         raise DomainError(f"no field GF({p}^E), E <= 3, has more than {d} elements")
     grid_ctx = gf_context(p, E)
-    cands, piv = _proj_points_array(ctx.q, nvars, grid_ctx.tables[0].dtype)
+    cands = proj_points(ctx.q, nvars)
     step = max(1, FF_BLOCK // nvars)
     found = []
     for s in range(0, len(cands), step):
-        found += _vanishing_hyperplanes(cands[s:s + step], piv[s:s + step], red, d,
-                                        grid_ctx).tolist()
+        found += _vanishing_hyperplanes(cands[s:s + step], red, d, grid_ctx).tolist()
     return [LinearFactor(p, e, tuple(ell)) for ell in found], ctx
 
 
-def _vanishing_hyperplanes(cands, piv, red, d, grid_ctx):
-    """The rows ell of ``cands`` (leading 1 at ``piv``) such that the form
+def _vanishing_hyperplanes(cands, red, d, grid_ctx):
+    """The rows ell of ``cands`` (each with a leading 1) such that the form
     ``red`` vanishes at every point of ell = 0 with free coordinates in
-    {0..d} of GF(p^E), evaluated on all rows still alive at once."""
-    add, mul, neg = grid_ctx.tables
-    # powers[x, k] = x^k in GF(p^E); elements of GF(p^e) keep their codes
-    powers = np.ones((grid_ctx.q, d + 1), dtype=mul.dtype)
-    for k in range(1, d + 1):
-        powers[:, k] = mul[powers[:, k - 1], np.arange(grid_ctx.q)]
+    {0..d} of GF(p^E), evaluated on all rows still alive at once; elements
+    of GF(p^e) keep their codes in GF(p^E)."""
+    add, mul, neg = grid_ctx.add, grid_ctx.mul, grid_ctx.neg
     nvars = cands.shape[1]
+    piv = np.argmax(cands != 0, axis=1)
     # on ell = 0, x_piv = sum_{j > piv} -c_j x_j, and the other coordinates
     # are the free grid coordinates in order
     after = np.arange(nvars) > piv[:, None]
@@ -412,13 +371,6 @@ def _vanishing_hyperplanes(cands, piv, red, d, grid_ctx):
         for j in range(nvars):
             x = add[x, mul[slope[:, j], pt[:, j]]]
         pt[np.arange(len(cands)), piv] = x
-        total = np.zeros(len(cands), dtype=add.dtype)
-        for exps, c in red.items():
-            term = np.full(len(cands), c, dtype=add.dtype)
-            for j, k in enumerate(exps):
-                if k:
-                    term = mul[term, powers[pt[:, j], k]]
-            total = add[total, term]
-        alive = total == 0
+        alive = gf_eval(red, pt, grid_ctx) == 0
         cands, piv, after, slope = cands[alive], piv[alive], after[alive], slope[alive]
     return cands

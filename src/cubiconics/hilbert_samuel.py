@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, ConfigError, DegenerateReductionError, DomainError
-from .exactarith import (eval_mod_p, factorize, ff_factor_linear, proj_points,
-                         reduce_mod_p)
+from .exactarith import (factorize, ff_factor_linear, gf_context, gf_eval,
+                         proj_points, reduce_mod_p)
 from .heights import harmonic
 from .linalg import det, rank, rank_mod_p
 from .multipoly import MultiPoly
@@ -174,7 +174,8 @@ def reduction_point_census(f: MultiPoly, p: int):
     red = reduce_mod_p(f, p)
     if not red:
         raise DegenerateReductionError(f"form vanishes identically mod {p}")
-    points = [pt for pt in proj_points(p, 3) if eval_mod_p(red, pt, p) == 0]
+    pts = proj_points(p, 3)
+    points = map(tuple, pts[gf_eval(red, pts, gf_context(p, 1)) == 0].tolist())
 
     per_point = []
     n = 0

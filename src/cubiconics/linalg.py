@@ -7,6 +7,12 @@ every division in the elimination is exact, so ranks, pivot columns,
 kernels, solutions and determinants are certified.  Each result is the
 unique one of its kind: a kernel basis vector has a 1 in one free column and
 0 in the others, and a solution sets the free variables to 0.
+
+Kernels and solutions come from one back substitution in integers
+(``cramer_vectors``): with Delta the last pivot of the echelon form, a
+minor of full rank, it solves for y = Delta * x, which is integral by
+Cramer's rule, so every division is exact.  Fractions appear only in the
+returned vectors.
 """
 
 from __future__ import annotations
@@ -73,16 +79,26 @@ def _echelon(rows, ncols):
     return m[:rank], pivots, sign
 
 
-def _back_substitute(ech, pivots, v):
-    """Set the pivot entries of v, its other entries given, so that every
-    echelon row annihilates v."""
-    ncols = len(v)
-    for r in range(len(ech) - 1, -1, -1):
-        pc = pivots[r]
-        s = sum((ech[r][j] * v[j] for j in range(pc + 1, ncols)
-                 if ech[r][j] and v[j]), Fraction(0))
-        v[pc] = -s / ech[r][pc]
-    return v
+def cramer_vectors(ech, pivots, cols, ncols):
+    """(Delta, [y for c in cols]): Delta the last pivot of the echelon form
+    (1 without pivots), and y the integer vector annihilated by every
+    echelon row with y[c] = Delta and 0 at the other non-pivot columns.
+
+    y is Delta times the kernel vector with a 1 at c, and Delta is the
+    minor of full rank on the pivot columns, so by Cramer's rule y is
+    integral and each division below is exact.
+    """
+    delta = ech[-1][pivots[-1]] if pivots else 1
+    out = []
+    for c in cols:
+        y = [0] * ncols
+        y[c] = delta
+        for r in range(len(ech) - 1, -1, -1):
+            row, pc = ech[r], pivots[r]
+            s = sum(row[j] * y[j] for j in range(pc + 1, ncols) if row[j] and y[j])
+            y[pc] = -s // row[pc]
+        out.append(y)
+    return delta, out
 
 
 def rank(rows, ncols: int) -> int:
@@ -123,13 +139,9 @@ def _kernel_basis(int_rows, ncols):
     in one free column and 0 in the others."""
     ech, pivots, _ = _echelon(int_rows, ncols)
     pivset = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivset:
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            basis.append(_back_substitute(ech, pivots, v))
-    return basis
+    free = [c for c in range(ncols) if c not in pivset]
+    delta, ys = cramer_vectors(ech, pivots, free, ncols)
+    return [[Fraction(x, delta) for x in y] for y in ys]
 
 
 def annihilates(rows, v) -> bool:
@@ -154,13 +166,10 @@ def solve(rows, rhs_cols, ncols: int):
     ech, pivots, _ = _echelon(_integer_rows(aug)[0], width)
     if pivots and pivots[-1] >= ncols:
         raise DomainError("inconsistent linear system")
-    sols = []
-    for j in range(len(rhs_cols)):
-        # A x - b = 0: the kernel vector (x, -1) of the augmented matrix
-        v = [Fraction(0)] * width
-        v[ncols + j] = Fraction(-1)
-        sols.append(_back_substitute(ech, pivots, v)[:ncols])
-    return sols
+    # A x - b = 0: x is minus the first ncols entries of the kernel vector
+    # of the augmented matrix with a 1 at the column of b
+    delta, ys = cramer_vectors(ech, pivots, range(ncols, width), width)
+    return [[Fraction(-x, delta) for x in y[:ncols]] for y in ys]
 
 
 def det(rows) -> Fraction:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DomainError, MacaulayDegenerateError, NonDivisibleError,
                      PropertyViolationError)
-from .linalg import _echelon, det, exact_kernel
+from .linalg import _echelon, cramer_vectors, det, exact_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -728,11 +728,11 @@ def bezout_cutoff(rows, d: int):
 
     For each pair, one fraction-free echelon of the transposed Sylvester
     matrix S augmented with e_0 and e_(n-1) gives both vectors at once: its
-    last pivot is Delta = +-det S, and the back substitution runs in
-    integers on y = Delta x, every division exact by Cramer's rule.  The
-    least common multiplier is D = |Delta| / g, g the gcd of Delta and all
-    of y, so w = max(sum |y|) / g.  A pivot outside the first n columns, or
-    fewer than n pivots, means det S = 0: the pair is not coprime.
+    last pivot is Delta = +-det S, and ``linalg.cramer_vectors`` gives
+    y = +-Delta x in integers.  The least common multiplier is
+    D = |Delta| / g, g the gcd of Delta and all of y, so
+    w = max(sum |y|) / g.  A pivot outside the first n columns, or fewer than
+    n pivots, means det S = 0: the pair is not coprime.
     """
     n = 2 * d
     ends = [(int(i == 0), int(i == n - 1)) for i in range(n)]
@@ -742,16 +742,9 @@ def bezout_cutoff(rows, d: int):
         ech, pivots, _ = _echelon([list(c) + list(b) for c, b in zip(cols, ends)], n + 2)
         if pivots != list(range(n)):
             continue  # resultant vanished: pair not coprime
-        delta = ech[-1][n - 1]
-        g, sums = delta, []
-        for k in (n, n + 1):
-            y = [0] * n
-            for r in range(n - 1, -1, -1):
-                row = ech[r]
-                y[r] = (delta * row[k] - sum(row[j] * y[j] for j in range(r + 1, n))) // row[r]
-            g = gcd(g, *y)
-            sums.append(sum(map(abs, y)))
-        worst = max(sums) // g
+        # y[n] or y[n + 1] is Delta, so the gcd of all entries is g
+        _, ys = cramer_vectors(ech, pivots, (n, n + 1), n + 2)
+        worst = max(sum(map(abs, y[:n])) for y in ys) // gcd(*ys[0], *ys[1])
         if best is None or worst < best[0]:
             best = (worst, (r1, r2))
     return None if best is None else (Fraction(1, best[0]), best[1])
@@ -907,16 +900,12 @@ def essential_variable_count(f: MultiPoly):
     monos = sorted({e for p in partials for e in p.terms})
     # rows indexed by variables: coefficient vectors of the partials
     rows = [[p.terms.get(e, _ZERO) for e in monos] for p in partials]
-    kernel = exact_kernel([list(col) for col in zip(*rows)], nv) if monos else \
-        [[_ONE if i == j else _ZERO for j in range(nv)] for i in range(nv)]
     # kernel of the map v -> sum_i v_i d_i f, i.e. right kernel of the
-    # (monomials x variables) matrix
+    # (monomials x variables) matrix; with no rows it is the identity basis
+    kernel = exact_kernel([list(col) for col in zip(*rows)], nv)
     k = nv - len(kernel)
     # basis of the annihilator of the kernel: right kernel of kernel matrix
-    if kernel:
-        forms_vecs = exact_kernel([list(v) for v in kernel], nv)
-    else:
-        forms_vecs = [[_ONE if i == j else _ZERO for j in range(nv)] for i in range(nv)]
+    forms_vecs = exact_kernel(kernel, nv)
     forms = []
     for v in forms_vecs:
         p = MultiPoly(f.names, {tuple(1 if i == j else 0 for i in range(nv)): v[j]

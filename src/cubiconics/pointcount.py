@@ -22,8 +22,8 @@ solve form vanishes identically passes every table.  The surviving fibers
 are re-batched, and the final np.unique sorts the rows.  So
 ``complete=True`` rests on the exact zero that proves each root and on the
 mod-m obstruction of each dropped fiber.  The sieve runs where it pays: on
-scans of at least SIEVE_MIN_FIBERS fibers whose solve form has degree 2 or
-3 in the solved variable.
+scans whose solve form has degree 2 or 3 in the solved variable, with each
+modulus whose table costs less than the scan it sieves.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ SIEVE_MODULI = (9, 7, 13, 19, 5, 11)
 # fibers per call of the root kernel after the sieve: enough to amortize
 # numpy's per-call cost, few enough to keep the working arrays small
 SIEVE_BATCH = 1 << 14
-# a scan of fewer fibers is not sieved: its tables would cost about what
-# they save (the Fermat cubic at B = 12, 7,812 fibers, takes 5 ms either way)
-SIEVE_MIN_FIBERS = 1 << 13
 
 
 @dataclass
@@ -292,12 +289,12 @@ def _sieve_tables(coeffs, others, nfib):
     the form 0 mod m.  Every integer root is one mod m, so a prefix whose
     entry is False has no solution on its fiber.
 
-    There are no tables for a scan of fewer than SIEVE_MIN_FIBERS fibers,
-    nor for a form of degree below 2 in x, whose fibers the kernel solves by
-    one division, as fast as a table lookup.  A modulus is left out when its
-    table costs more than it can save, m^(k+1) evaluations against the nfib
-    fibers of the scan (or CHUNK_FIBERS), or when it passes every residue."""
-    if coeffs is None or len(coeffs) < 3 or nfib < SIEVE_MIN_FIBERS:
+    There are no tables for a form of degree below 2 in x, whose fibers the
+    kernel solves by one division, as fast as a table lookup.  A modulus is
+    left out when its table costs more than it can save, m^(k+1)
+    evaluations against the nfib fibers of the scan (or CHUNK_FIBERS), or
+    when it passes every residue."""
+    if coeffs is None or len(coeffs) < 3:
         return []
     k = len(others)
     tables = []

@@ -11,14 +11,14 @@ from cubiconics.cayley import (T4, TPAR, cayley_plane_curve,
                                cayley_plane_curve_macaulay)
 from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
                                      absolutely_irreducible_cubic_mod_p,
-                                     census_cutoff_constant, classify_cubic,
+                                     classify_cubic,
                                      cofactor_pair, conic_census, conic_family,
                                      family_image, find_lines,
                                      height_pairing_check, leading_family,
                                      line_in_forms, residual_conic,
                                      specialized_height)
 from cubiconics.errors import BudgetError, DomainError, PropertyViolationError
-from cubiconics.multipoly import MultiPoly, gcd_binary_forms
+from cubiconics.multipoly import MultiPoly, bezout_cutoff, gcd_binary_forms
 
 P3C = ("T0", "T1", "T2")
 
@@ -126,6 +126,28 @@ def test_classify_fermat(fermat_surface):
     assert rec["non_ruled"] == "certified"
     assert rec["ncc"]
     assert not rec["cylinder_over_curve"]
+
+
+def _smooth_by_points(f, p):
+    """Reference: no point of P^3(F_p) where f and its partials all vanish,
+    by exact evaluation point by point."""
+    _, f = f.rational_content()
+    polys = [f] + [f.partial(n) for n in T4]
+    if all(c % p == 0 for c in f.terms.values()):
+        return False
+    pts = [(0,) * lead + (1,) + t for lead in range(4)
+           for t in itertools.product(range(p), repeat=3 - lead)]
+    return not any(all(g.evaluate(pt) % p == 0 for g in polys) for pt in pts)
+
+
+def test_smooth_mod_p_matches_point_check(corpus_forms):
+    assert len(corpus_forms) == 14
+    for f in corpus_forms:
+        for p in cubic_conics.SMOOTHNESS_PRIMES:
+            got = cubic_conics.smooth_mod_p(f, p)
+            # a numpy bool would reach the classify JSON as a string
+            assert type(got) is bool
+            assert got == _smooth_by_points(f, p), (str(f), p)
 
 
 def test_classify_skew_normal_form():
@@ -264,7 +286,7 @@ def test_census(fermat_pencil):
 
 
 def test_census_cutoff_certificate(fermat_pencil):
-    cut = census_cutoff_constant(fermat_pencil)
+    cut = bezout_cutoff(*fermat_pencil.int_rows)
     assert cut is not None
     c = cut[0]
     assert c > 0

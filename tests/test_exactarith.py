@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cubiconics.cayley import PLUCKER, grassmann_relation
 from cubiconics.errors import BudgetError, DomainError
-from cubiconics.exactarith import (GFContext, bertrand_prime, eval_mod_p,
-                                   factorize, ff_factor_linear, gf_context,
+from cubiconics.exactarith import (GFContext, bertrand_prime, factorize,
+                                   ff_factor_linear, gf_context, gf_eval,
                                    mertens_check,
                                    prime_sum_over_divisors, primes_up_to,
                                    proj_points, reduce_mod_p, theta_psi_phi)
@@ -132,6 +134,13 @@ def test_ff_factor_multiply_back():
     assert reduce_mod_p(product, 5) == reduce_mod_p(f, 5)
 
 
+def _canonical_points(q, nvars):
+    """P^{nvars-1}(F_q) with first nonzero coordinate 1, by position of the
+    leading 1, then lexicographically."""
+    return [(0,) * lead + (1,) + t for lead in range(nvars)
+            for t in itertools.product(range(q), repeat=nvars - lead - 1)]
+
+
 def _linear_form(coeffs, names):
     return MultiPoly(names, {tuple(int(j == i) for j in range(len(names))): c
                              for i, c in enumerate(coeffs) if c})
@@ -170,7 +179,7 @@ def test_ff_factor_linear_matches_substitution_over_q(p):
             while not reduce_mod_p(f, p):
                 f = make(rng, names)
             factors, _ = ff_factor_linear(f, p, 1)
-            want = [ell for ell in proj_points(p, nvars) if _divides_mod_p(ell, f, p)]
+            want = [ell for ell in _canonical_points(p, nvars) if _divides_mod_p(ell, f, p)]
             assert [x.coeffs for x in factors] == want, (str(f), p)
 
 
@@ -179,8 +188,7 @@ def test_ff_factor_linear_grid_leaves_the_prime_field():
     # a grid of F_2 values alone would accept it
     names = ("T0", "T1", "T2")
     f = MultiPoly.parse("T0^2*T1 + T0*T1^2", names)
-    assert all(eval_mod_p(reduce_mod_p(f, 2), (x, y, 0), 2) == 0
-               for x in (0, 1) for y in (0, 1))
+    assert all(f.evaluate((x, y, 0)) % 2 == 0 for x in (0, 1) for y in (0, 1))
     factors, _ = ff_factor_linear(f, 2, 1)
     assert [x.coeffs for x in factors] == [(1, 0, 0), (1, 1, 0), (0, 1, 0)]
 
@@ -209,7 +217,7 @@ def test_ff_factor_linear_returns_the_distinct_factors_of_a_product(p):
     rng = random.Random(100 + p)
     for nvars in (2, 3, 4):
         names = tuple(f"T{i}" for i in range(nvars))
-        order = {pt: k for k, pt in enumerate(proj_points(p, nvars))}
+        order = {pt: k for k, pt in enumerate(_canonical_points(p, nvars))}
         for _ in range(6):
             ells = []
             while len(ells) < 3:
@@ -232,7 +240,7 @@ def test_ff_factor_linear_conjugate_pair_only_over_the_square_extension(p):
     f = MultiPoly.parse("T0^2*T2 + T1^2*T2", names)
     assert [x.coeffs for x in ff_factor_linear(f, p, 1)[0]] == [(0, 0, 1)]
     factors, ctx = ff_factor_linear(f, p, 2)
-    roots = [a for a in range(ctx.q) if ctx.mul(a, a) == ctx.neg(1)]
+    roots = [a for a in range(ctx.q) if ctx.mul[a, a] == ctx.neg[1]]
     assert len(roots) == 2
     assert [x.coeffs for x in factors] == [(1, a, 0) for a in roots] + [(0, 0, 1)]
 
@@ -245,7 +253,7 @@ def test_ff_factor_linear_plucker_quadrics_in_characteristic_2():
     assert is_geometrically_integral_quadratic(G, 2)
     split = MultiPoly.parse("p01*p13 + p01*p23 + p02*p13 + p02*p23", names)
     factors, _ = ff_factor_linear(split, 2, 1)
-    want = [ell for ell in proj_points(2, 6) if _divides_mod_p(ell, split, 2)]
+    want = [ell for ell in _canonical_points(2, 6) if _divides_mod_p(ell, split, 2)]
     assert [x.coeffs for x in factors] == want == [(1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1)]
     assert not is_geometrically_integral_quadratic(split, 2)
     # p01^2 + p01 p02 + p02^2 has its two factors over F_4 only
@@ -274,23 +282,45 @@ def test_reduce_and_evaluate_mod_p():
     assert reduce_mod_p(f, 5) == {(2, 0, 0): 2, (0, 1, 0): 2}
     with pytest.raises(DomainError):
         reduce_mod_p(f, 3)
-    assert eval_mod_p(reduce_mod_p(f, 7), (1, 2, 3), 7) == (5 + 4 - 15) % 7
+    pt = np.array([(1, 2, 3)])
+    assert gf_eval(reduce_mod_p(f, 7), pt, gf_context(7, 1)).tolist() == [(5 + 4 - 15) % 7]
     for q, nvars in ((2, 3), (4, 2), (5, 4)):
-        pts = list(proj_points(q, nvars))
-        assert len(pts) == len(set(pts)) == (q ** nvars - 1) // (q - 1)
+        want = _canonical_points(q, nvars)
+        assert len(want) == len(set(want)) == (q ** nvars - 1) // (q - 1)
+        assert proj_points(q, nvars).tolist() == [list(t) for t in want]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gf_eval_matches_evaluate(p):
+    rng = random.Random(200 + p)
+    ctx = gf_context(p, 1)
+    for nvars in (2, 3, 4):
+        names = tuple(f"T{i}" for i in range(nvars))
+        pts = _canonical_points(p, nvars)
+        forms = [MultiPoly(names, {e: rng.randint(-9, 9)
+                                   for e in monomials_of_degree(nvars, d)
+                                   if rng.random() < 0.4}) for d in (1, 2, 3)]
+        # every partial of x0^p + 3 x1^p vanishes mod p
+        forms.append(MultiPoly(names, {(p, 0) + (0,) * (nvars - 2): 1,
+                                       (0, p) + (0,) * (nvars - 2): 3}))
+        for f in forms:
+            for g in [f] + [f.partial(n) for n in names]:
+                want = [g.evaluate(pt) % p for pt in pts]
+                got = gf_eval(reduce_mod_p(g, p), proj_points(p, nvars), ctx)
+                assert got.tolist() == want, (str(g), p)
 
 
 def test_gf_context_tables():
     ctx = GFContext(5, 2)
-    q = ctx.q
-    for a in range(1, q):
-        assert ctx.mul(a, ctx.inv(a)) == 1
-    # distributivity spot check
-    rng = random.Random(0)
-    for _ in range(50):
-        a, b, c = (rng.randrange(q) for _ in range(3))
-        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-        assert ctx.add(a, ctx.neg(a)) == 0
+    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+    a = np.arange(ctx.q)
+    # every nonzero element has an inverse, and the tables satisfy the
+    # field laws on all triples
+    assert all(1 in mul[x] for x in a[1:])
+    assert (add[a, neg] == 0).all()
+    x, y, z = (g.ravel() for g in np.indices((ctx.q,) * 3))
+    assert (mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]).all()
+    assert (mul[x, mul[y, z]] == mul[mul[x, y], z]).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -301,11 +331,32 @@ def test_gf_context_cached_tables(p, e):
     _, ctx_from_search = ff_factor_linear(MultiPoly.parse("T0 + T1", ("T0", "T1")), p, e)
     assert ctx_from_search is ctx
     fresh = GFContext(p, e)
-    assert (ctx._add, ctx._mul, ctx._neg, ctx._inv) == \
-        (fresh._add, fresh._mul, fresh._neg, fresh._inv)
+    assert all(np.array_equal(t, u) and t.dtype == u.dtype == np.uint8
+               for t, u in zip((ctx.add, ctx.mul, ctx.neg),
+                               (fresh.add, fresh.mul, fresh.neg)))
     # against digit arithmetic done here, for both orders of every pair
+    mod = ctx.modulus
+
+    def decode(a):
+        return [a // p ** i % p for i in range(e)]
+
+    def encode(cs):
+        return sum(c % p * p ** i for i, c in enumerate(cs))
+
+    def mul_mod(ca, cb):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                prod[i + j] += x * y
+        for d in range(2 * e - 2, e - 1, -1):
+            for i in range(e):
+                prod[d - e + i] -= prod[d] * mod[i]
+        return encode(prod[:e])
+
     for a in range(ctx.q):
+        da = decode(a)
+        assert ctx.neg[a] == encode([-x for x in da])
         for b in range(ctx.q):
-            da, db = ctx._decode(a), ctx._decode(b)
-            assert ctx.add(a, b) == ctx._encode([x + y for x, y in zip(da, db)])
-            assert ctx.mul(a, b) == ctx._poly_mul_mod(da, db)
+            db = decode(b)
+            assert ctx.add[a, b] == encode([x + y for x, y in zip(da, db)])
+            assert ctx.mul[a, b] == mul_mod(da, db)

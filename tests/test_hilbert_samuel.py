@@ -80,6 +80,9 @@ def test_reduction_point_census():
         assert n2 == p + 1
     two_lines = MultiPoly.parse("T0*T1", P2)
     n3, pts3 = reduction_point_census(two_lines, 2)
+    # plain tuples of Python ints, as demos/02 prints them
+    assert all(type(x["point"]) is tuple and all(type(c) is int for c in x["point"])
+               for x in pts3)
     mus = {x["point"]: x["mu"] for x in pts3}
     assert mus[(0, 0, 1)] == 2
     with pytest.raises(DegenerateReductionError):

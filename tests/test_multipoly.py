@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubiconics.errors import DomainError, NonDivisibleError
-from cubiconics.linalg import det, exact_kernel, rank, solve
+from cubiconics.linalg import det, exact_kernel, rank
 from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, iroot,
                                   essential_variable_count, gcd_binary_forms,
                                   macaulay_resultant, sylvester_resultant,
                                   sylvester_rows)
+from test_linalg import fraction_solve
 
 T = ("T0", "T1", "T2", "T3")
 B2 = ("T0", "T1")
@@ -110,15 +111,14 @@ def test_essential_variables_invariant_under_unimodular_change():
 
 
 def _bezout_cutoff_by_solve(rows, d):
-    """Reference: both Bezout vectors in Fractions from linalg.solve, over
-    the lcm of all their denominators."""
+    """Reference: both Bezout vectors in Fractions from a plain Gauss-Jordan
+    solve, over the lcm of all their denominators."""
     n = 2 * d
     ends = [[int(i == 0) for i in range(n)], [int(i == n - 1) for i in range(n)]]
     best = None
     for r1, r2 in itertools.combinations([r for r in rows if any(r)], 2):
-        try:
-            sols = solve([list(c) for c in zip(*sylvester_rows(r1, r2))], ends, n)
-        except DomainError:
+        sols = fraction_solve([list(c) for c in zip(*sylvester_rows(r1, r2))], ends, n)
+        if sols is None:
             continue
         D = lcm(*(x.denominator for sol in sols for x in sol))
         worst = max(sum(abs(int(x * D)) for x in sol) for sol in sols)
