@@ -29,11 +29,13 @@ _ROW_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
 
 def _integer_rows(rows):
     """The rows scaled to integers by the lcm of each row's denominators,
-    and the product of those multipliers."""
+    and the product of those multipliers.  Entries are Fractions or
+    integers (Python or numpy); the scaling stays in Python integers."""
     out, scale = [], 1
     for r in rows:
         den = lcm(*(x.denominator for x in r if type(x) is Fraction))
-        out.append([int(x * den) for x in r])
+        out.append([x.numerator * (den // x.denominator) if type(x) is Fraction
+                    else int(x) * den for x in r])
         scale *= den
     return out, scale
 

@@ -14,20 +14,24 @@ is positive, so each point class is hit once, and it keeps the primitive
 rows and fixes their sign in numpy, chunk by chunk.
 
 Before the root kernel, a local-solubility sieve (as in Stoll's ratpoints)
-drops the fibers with no root modulo some m in SIEVE_MODULI: one table per m
-records, for each residue class of the prefix, whether some x mod m makes
-the solve form 0 mod m.  This cannot change the answer.  Every integer
-solution is one mod m, so a dropped fiber holds no point.  A fiber where the
-solve form vanishes identically passes every table.  The surviving fibers
-are re-batched, and the final np.unique sorts the rows.  So
-``complete=True`` rests on the exact zero that proves each root and on the
-mod-m obstruction of each dropped fiber.  The sieve runs where it pays: on
+drops the fibers with no root modulo some m in SIEVE_MODULI.  Whether
+c0 + c1 x + c2 x^2 + c3 x^3 has a root mod m depends on the residues of
+the coefficients alone, so one root table per m, built once per process,
+serves every form.  A scan reads from it one table over the residue
+classes of its prefix, at the residues of the solve form's coefficients,
+which costs m^k evaluations for k prefix coordinates.  This cannot change
+the answer.  Every integer solution is one mod m, so a dropped fiber holds
+no point.  A fiber where the solve form vanishes identically passes every
+table.  The surviving fibers are re-batched, and one lexsort at the end
+orders the rows.  So ``complete=True`` rests on the exact zero that proves
+each root and on the mod-m obstruction of each dropped fiber.  The sieve runs where it pays: on
 scans whose solve form has degree 2 or 3 in the solved variable, with each
 modulus whose table costs less than the scan it sieves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools as it
 import math
 from dataclasses import dataclass
@@ -280,6 +284,35 @@ def _lead_sign(rows):
     return np.sign(rows[np.arange(len(rows)), first])
 
 
+@functools.cache
+def _root_table(m):
+    """Boolean table over (c0, c1, c2, c3) mod m, True exactly where some
+    x mod m makes c0 + c1 x + c2 x^2 + c3 x^3 == 0 mod m.  It depends on m
+    alone: each x marks, for every (c1, c2, c3), the one c0 it solves, so a
+    table costs m^4 work, once per process."""
+    r = np.arange(m)
+    # the flat offset of the c0 that cancels c1 x + c2 x^2 + c3 x^3 == s,
+    # for s < 3m, the sum of three residues
+    c0 = (-np.arange(3 * m) % m) * m ** 3
+    rest = np.arange(m ** 3)
+    table = np.zeros(m ** 4, dtype=bool)
+    for x in range(m):
+        a, b, c = (r * x ** k % m for k in (1, 2, 3))
+        table[c0[a[:, None, None] + b[:, None] + c].ravel() + rest] = True
+    table = table.reshape((m,) * 4)
+    table.flags.writeable = False
+    return table
+
+
+def _unique_rows(rows):
+    """The distinct rows of a 2-d array in lexicographic order, as
+    np.unique(rows, axis=0) gives them, from one lexsort."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _sieve_tables(coeffs, others, nfib):
     """The local-solubility tables of the solve form with coefficients
     ``coeffs`` in the solved variable x (from _solve_form_coeffs), over
@@ -289,26 +322,28 @@ def _sieve_tables(coeffs, others, nfib):
     the form 0 mod m.  Every integer root is one mod m, so a prefix whose
     entry is False has no solution on its fiber.
 
-    There are no tables for a form of degree below 2 in x, whose fibers the
-    kernel solves by one division, as fast as a table lookup.  A modulus is
-    left out when its table costs more than it can save, m^(k+1)
-    evaluations against the nfib fibers of the scan (or CHUNK_FIBERS), or
-    when it passes every residue."""
-    if coeffs is None or len(coeffs) < 3:
-        return []
+    The coefficients are evaluated once, on [0, M)^k with M the largest
+    modulus used, and each table is the gather of _root_table(m) at their
+    residues on the corner [0, m)^k, so it costs m^k evaluations.  There are
+    no tables for a form of degree below 2 in x, whose fibers the kernel
+    solves by one division, as fast as a table lookup.  A modulus is left
+    out when its table costs more than it can save, m^k against the nfib
+    fibers of the scan (or CHUNK_FIBERS), or when it passes every residue."""
     k = len(others)
+    moduli = [m for m in SIEVE_MODULI if m ** k <= min(nfib, CHUNK_FIBERS)]
+    if coeffs is None or len(coeffs) < 3 or not moduli:
+        return []
+    M = max(moduli)
+    grid = dict(zip(others, (g.ravel() for g in np.indices((M,) * k))))
+    c = [_np_eval(cp, grid).reshape((M,) * k) for cp in coeffs]
+    c += [np.zeros_like(c[0])] * (4 - len(c))
     tables = []
-    for m in SIEVE_MODULI:
-        if m ** (k + 1) > min(nfib, CHUNK_FIBERS):
-            continue
-        grid = dict(zip(others, (g.ravel() for g in np.indices((m,) * k))))
-        x = np.arange(m)[:, None]
-        acc = 0
-        for cp in reversed(coeffs):
-            acc = (acc * x + (_np_eval(cp, grid) % m).astype(np.int64)) % m
-        table = (acc == 0).any(axis=0)
+    for m in moduli:
+        # int64 residues: on Python integers % m gives object entries
+        r = tuple((a[(slice(m),) * k] % m).astype(np.int64) for a in c)
+        table = _root_table(m)[r]
         if not table.all():
-            tables.append((m, table.reshape((m,) * k)))
+            tables.append((m, table))
     return tables
 
 
@@ -321,8 +356,13 @@ def _sieved_prefixes(tables, nvars: int, B: int, half: bool = False):
     split.
 
     The grid is never materialized: outer coordinates are looped in Python,
-    one chunk per value, over a fixed inner grid, and the mask of that grid
-    under one table and one outer residue class is computed once per call.
+    one chunk per value, over a fixed inner grid.  The flat residue index of
+    that grid mod m is computed once per call and table; the mask of a chunk
+    under a table is one gather through it at the chunk's outer residues.
+    No mask is kept from one chunk to the next.  Beside the inner grid
+    (width^inner <= CHUNK_FIBERS entries when inner > 1) and the masks of one
+    chunk, the call holds one index of that grid per table, at most 2 bytes
+    an entry while m^inner < 2^16.
     """
     if half and nvars == 0:
         return
@@ -335,7 +375,10 @@ def _sieved_prefixes(tables, nvars: int, B: int, half: bool = False):
     inner_flat = [g.ravel() for g in np.meshgrid(*([rng] * inner), indexing="ij")]
     if half:
         inner_half = _lead_sign(np.stack(inner_flat, axis=1)) > 0
-    masks = {}
+    # the flat residue index of the inner grid mod each m, in the least
+    # unsigned dtype that holds it (take reads it as fast as int64)
+    index = [np.ravel_multi_index([a % m for a in inner_flat], (m,) * inner)
+             .astype(np.min_scalar_type(m ** inner)) for m, _ in tables]
     batch, batched = [], 0
 
     def joined():
@@ -346,12 +389,11 @@ def _sieved_prefixes(tables, nvars: int, B: int, half: bool = False):
         if half and lead < 0:
             continue
         keep = inner_half if half and lead == 0 else None
-        for m, table in tables:
-            r = tuple(v % m for v in combo)
-            if (m, r) not in masks:
-                masks[m, r] = table[r][np.ix_(*[rng % m] * inner)].ravel()
-            keep = masks[m, r] if keep is None else keep & masks[m, r]
-        cols = inner_flat if keep is None else [a[keep] for a in inner_flat]
+        for (m, table), ix in zip(tables, index):
+            mask = table[tuple(v % m for v in combo)].take(ix)
+            keep = mask if keep is None else np.logical_and(keep, mask, out=mask)
+        sel = slice(None) if keep is None else np.flatnonzero(keep)
+        cols = [a[sel] for a in inner_flat]
         if batched + len(cols[0]) > SIEVE_BATCH and batched:
             yield joined()
             batch, batched = [], 0
@@ -398,9 +440,9 @@ def enumerate_projective(forms, names, B, budget: float | None = None,
         rows = rows[np.gcd.reduce(np.abs(rows), axis=1) == 1]
         rows *= _lead_sign(rows)[:, None]
         found.append(rows)
-    # each point class is found once; np.unique only sorts the rows
-    pts = np.unique(np.concatenate(found), axis=0)
-    return CountResult(len(pts), tuple(map(tuple, pts.tolist())), True)
+    # each point class is found once; _unique_rows only sorts the rows
+    pts = _unique_rows(np.concatenate(found))
+    return CountResult(len(pts), tuple(zip(*pts.T.tolist())), True)
 
 
 def enumerate_affine(forms, names, B, budget: float | None = None,
@@ -442,8 +484,8 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
                                       math.isqrt(int(room.max())))
             rows = rows[rows[:, -1] ** 2 <= room[fib]]
         found.append(rows)
-    pts = np.unique(np.concatenate(found), axis=0)
-    return CountResult(len(pts), tuple(map(tuple, pts.tolist())), True)
+    pts = _unique_rows(np.concatenate(found))
+    return CountResult(len(pts), tuple(zip(*pts.T.tolist())), True)
 
 
 # --- conic points, recounted through the chord parameterization --------------------

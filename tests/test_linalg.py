@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubiconics.errors import DomainError
-from cubiconics.linalg import (_ROW_PRIME, _kernel_basis, exact_kernel, rank,
-                              rank_mod_p, solve)
+from cubiconics.linalg import (_ROW_PRIME, _integer_rows, _kernel_basis, exact_kernel,
+                              rank, rank_mod_p, solve)
 
 # 2^31 + 11 still runs in int64; (2^61 - 2)^2 overflows int64, so the
 # Mersenne prime 2^61 - 1 takes the Python-integer path
@@ -112,6 +114,21 @@ def test_kernel_and_solve_match_gauss_jordan(size):
                 solve(M, other, ncols)
         else:
             assert solve(M, other, ncols) == fraction_solve(M, other, ncols)
+
+
+def test_integer_rows_on_mixed_entries():
+    rng = random.Random(5)
+    for _ in range(200):
+        rows = [[rng.choice((lambda v: v, np.int64, lambda v: Fraction(v, rng.randint(1, 10 ** 6)),
+                             lambda v: Fraction(v, rng.choice((1, 6, 2 ** 70)))))(
+                     rng.randint(-10 ** 12, 10 ** 12))
+                 for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(1, 4))]
+        out, scale = _integer_rows(rows)
+        exact = [[x if type(x) is Fraction else Fraction(int(x)) for x in r] for r in rows]
+        dens = [math.lcm(*(x.denominator for x in r)) for r in exact]
+        assert out == [[int(x * d) for x in r] for r, d in zip(exact, dens)]
+        assert all(type(x) is int for r in out for x in r)
+        assert scale == math.prod(dens)
 
 
 def test_exact_kernel_on_independent_rows_matches_full_echelon():

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,10 @@ SIEVE_CASES = {
     # a conic, solved on the pivot of its plane as conic_points does
     "plane_system": (["T0 + 2*T1 - T2 + 3*T3", "T0^2 + T1*T2 - 2*T3^2 + T0*T3"], "T0"),
     "fermat": (["T0^3 + T1^3 + T2^3 + T3^3"], "T3"),
+    # coefficients of 10^18 put the table grid and the fibers on Python
+    # integers, whose residues index the root tables after a cast to int64
+    "python_integers": (["T3^3 + 1000000000000000000*T1^2*T3 - 1000000000000000000*T0^2*T3"
+                         " + T2^3 - T0^3"], "T3"),
 }
 CURVED = [name for name in SIEVE_CASES if name != "plane_system"]
 
@@ -181,6 +189,33 @@ def test_sieve_tables_match_residue_check(name):
                     break
         # a table that passes every residue is left out
         assert (m not in tables) if want.all() else (tables[m] == want).all()
+
+
+@pytest.mark.parametrize("m", pointcount.SIEVE_MODULI)
+def test_root_table_matches_integer_loop(m):
+    table = pointcount._root_table(m)
+    assert table.shape == (m,) * 4
+    for c0, c1, c2, c3 in itertools.product(range(m), repeat=4):
+        root = any((c0 + c1 * x + c2 * x * x + c3 * x ** 3) % m == 0 for x in range(m))
+        assert table[c0, c1, c2, c3] == root
+
+
+def test_unique_rows_matches_np_unique():
+    rng = np.random.default_rng(3)
+    for n, k, top in ((0, 3, 1), (1, 1, 1), (500, 4, 3), (2000, 3, 10 ** 12)):
+        rows = rng.integers(-top, top + 1, (n, k))
+        rows = np.concatenate([rows, rows[: n // 3]])
+        assert np.array_equal(pointcount._unique_rows(rows), np.unique(rows, axis=0))
+
+
+def test_import_builds_no_root_table():
+    code = ("import cubiconics.cli\n"
+            "from cubiconics.pointcount import _root_table\n"
+            "print(_root_table.cache_info().currsize)")
+    src = str(Path(pointcount.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 @st.composite
