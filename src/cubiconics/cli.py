@@ -221,15 +221,13 @@ def cmd_count(args):
     if not B_list:
         raise ConfigError("empty B list")
     Bmax = max(B_list)
+    forms, names = load_forms(args.curve or args.surface)
     if args.mode == "affine":
-        forms, names = load_forms(args.curve or args.surface)
         names = tuple(n for n in names if n != "T0") or names
-        forms = [restrict(f, names) for f in forms]
         res = enumerate_affine(forms, names, Bmax, budget=args.budget)
         counts = [sum(1 for p in res.points
                       if sum(c * c for c in p) <= B * B) for B in B_list]
     else:
-        forms, names = load_forms(args.curve or args.surface)
         res = enumerate_projective(forms, names, Bmax, budget=args.budget)
         counts = [sum(1 for p in res.points
                       if max(abs(c) for c in p) <= B) for B in B_list]

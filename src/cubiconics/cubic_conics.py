@@ -29,10 +29,10 @@ from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm,
 from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import (factorize, ff_factor_linear, gf_context, gf_eval,
                          proj_points, reduce_mod_p)
-from .multipoly import (MultiPoly, bezout_cutoff, coefficients_in, embed,
+from .multipoly import (MultiPoly, bezout_cutoff, binary_row, coefficients_in, embed,
                         _heights, _primitive_pair_blocks, essential_variable_count,
-                        gcd_binary_forms, iroot, monomials_of_degree, restrict,
-                        sylvester_resultant)
+                        gcd_binary_forms, iroot, monomials_of_degree, pivot_substitution,
+                        restrict, sylvester_resultant)
 from .pointcount import CHUNK_FIBERS, _np_eval
 
 DEFAULT_LINE_BUDGET = 2_000_000
@@ -70,7 +70,7 @@ class RationalLine:
 def cofactor_pair(f: MultiPoly, l1: MultiPoly, l2: MultiPoly):
     """Quadratic cofactors (A, B) with f = A*l1 + B*l2; DomainError when f is
     not in the ideal."""
-    piv = _pivot_substitution(l1)
+    piv = pivot_substitution(l1)
     r1 = f.substitute(piv)
     l2bar = l2.substitute(piv)
     if l2bar.is_zero():
@@ -79,19 +79,6 @@ def cofactor_pair(f: MultiPoly, l1: MultiPoly, l2: MultiPoly):
     A = (f - B * l2).exact_divide(l1)
     assert A * l1 + B * l2 == f
     return A, B
-
-
-def _pivot_substitution(l: MultiPoly):
-    """{pivot var -> solved expression} killing the linear form l."""
-    coeffs = {}
-    for e, c in l.terms.items():
-        coeffs[e.index(1)] = c
-    piv = min(coeffs)
-    expr = MultiPoly.zero(l.names)
-    for i, c in coeffs.items():
-        if i != piv:
-            expr = expr - (c / coeffs[piv]) * MultiPoly.variable(l.names[i], l.names)
-    return {l.names[piv]: expr}
 
 
 def rationals_of_height(bound: int):
@@ -378,8 +365,7 @@ class ConicPencil:
         the family degree, of all 21 family coefficients, jointly
         denominator-cleared; built once per pencil."""
         d = self.family_degree
-        rows = [_binary_coeff_row(q, d) if not q.is_zero() else [Fraction(0)] * (d + 1)
-                for q in (self.b_ij[e] for e in monomials_of_degree(6, 2))]
+        rows = [binary_row(self.b_ij[e], d) for e in monomials_of_degree(6, 2)]
         den = lcm(*(c.denominator for row in rows for c in row))
         return [[int(c * den) for c in row] for row in rows], d
 
@@ -451,21 +437,12 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
 # --- leading family and image shape ---------------------------------------------------
 
 
-def _binary_coeff_row(q: MultiPoly, d: int):
-    """Coefficients (c_{d,0}, ..., c_{0,d}) of a degree-d binary form."""
-    row = [Fraction(0)] * (d + 1)
-    for e, c in q.terms.items():
-        i1 = e[q.names.index("t1")]
-        row[d - i1] = c
-    return row
-
-
 def _family_rows(family):
     live = [q for q in family if q and not q.is_zero()]
     if not live:
         return [], 0
     d = max(q.total_degree() for q in live)
-    return [_binary_coeff_row(q, d) for q in live], d
+    return [binary_row(q, d) for q in live], d
 
 
 def family_rank(family) -> int:

@@ -48,7 +48,7 @@ from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
 from .linalg import _ROW_PRIME, exact_kernel, rank_mod_p
 from .multipoly import (MultiPoly, embed, gcd_binary_forms,
-                        monomials_of_degree, restrict)
+                        monomials_of_degree, pivot_substitution, restrict)
 from .pointcount import enumerate_projective, homogenize
 
 # largest degree minimal_omega scans
@@ -130,11 +130,9 @@ def _quotient(forms, names):
         if g.is_zero():
             continue  # implied by the linear members
         if g.total_degree() == 1:
-            e, c = g.leading_term()
-            k = e.index(1)
-            expr = MultiPoly.variable(names[k], names) - g * (1 / c)
-            rest[i + 1:] = [h.substitute({names[k]: expr}) for h in rest[i + 1:]]
-            pivots.append(k)
+            sub = pivot_substitution(g)
+            rest[i + 1:] = [h.substitute(sub) for h in rest[i + 1:]]
+            pivots.extend(names.index(v) for v in sub)
         elif f is None:
             f = g
         else:

@@ -148,21 +148,6 @@ def bertrand_prime(R: int) -> int:
 # --- finite fields: reduction mod p, F_p points, GF(p^e) with e <= 3 --------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _find_irreducible(p: int, e: int):
     """First monic irreducible of degree e over F_p in lex coefficient order.
     For e <= 3 irreducibility is exactly root-freeness."""
@@ -186,7 +171,7 @@ class GFContext:
     """
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
+        if not (p >= 2 and factorize(p) == {p: 1}):
             raise DomainError(f"{p} is not prime")
         if not 1 <= e <= 3:
             raise DomainError("extension degree must be 1, 2 or 3")

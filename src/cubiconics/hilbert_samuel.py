@@ -264,14 +264,13 @@ class ReductionCensus:
     complete: bool
 
 
-def bad_reduction_census(q: MultiPoly, p_max: int = 10 ** 6) -> ReductionCensus:
+def bad_reduction_census(q: MultiPoly) -> ReductionCensus:
     """Primes above 27*delta^4 where a quadratic form's reduction stops being
     geometrically integral, with the multiplicative penalty they contribute.
 
     Bad primes annihilate every 3x3 minor of the doubled Gram matrix, so the
-    prime factors of one fixed nonzero minor exhaust the candidates: the
-    census is complete whenever that minor can be factored (p_max only caps
-    the honest fallback scan).
+    prime factors of one fixed nonzero minor, factored exactly by trial
+    division, exhaust the candidates, and the census is complete.
     """
     delta = 2
     threshold = 27 * delta ** 4

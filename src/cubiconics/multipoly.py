@@ -8,7 +8,10 @@ exact division.
 
 The module also houses the two resultants (Sylvester for binary forms, the
 Macaulay two-determinant quotient in general) and the structural tests on
-polynomials that the rest of the library consumes.
+polynomials that the rest of the library consumes.  Binary forms are read as
+coefficient rows, leading coefficient first (``binary_row``); their gcd is
+read off the fraction-free echelon form of a Sylvester matrix, so it runs on
+the same integer elimination as the rest of the library.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import (DomainError, MacaulayDegenerateError, NonDivisibleError,
                      PropertyViolationError)
-from .linalg import _echelon, cramer_vectors, det, exact_kernel
+from .linalg import _echelon, _integer_rows, cramer_vectors, det, exact_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -484,6 +487,14 @@ def restrict(f: MultiPoly, names) -> MultiPoly:
     return MultiPoly(names, out)
 
 
+def pivot_substitution(l: MultiPoly):
+    """{pivot -> expression}: the linear form l solved for its graded-lex
+    leading variable, the first one with a nonzero coefficient."""
+    e, c = l.leading_term()
+    v = l.names[e.index(1)]
+    return {v: MultiPoly.variable(v, l.names) - l * (1 / c)}
+
+
 def coefficients_in(f: MultiPoly, coeff_vars):
     """View f as a polynomial in the variables *outside* ``coeff_vars``:
     returns {outer exponent vector -> coefficient polynomial in coeff_vars}.
@@ -499,36 +510,17 @@ def coefficients_in(f: MultiPoly, coeff_vars):
     return {k: MultiPoly(coeff_vars, t) for k, t in groups.items()}
 
 
-# --- univariate/binary gcd --------------------------------------------------
+# --- binary forms -----------------------------------------------------------
 
 
-def _univ_gcd(a, b):
-    """Monic gcd of univariate coefficient lists over Q."""
-    a = [c for c in a]
-    b = [c for c in b]
-
-    def deg(v):
-        d = len(v) - 1
-        while d >= 0 and v[d] == 0:
-            d -= 1
-        return d
-
-    da, db = deg(a), deg(b)
-    if da < 0:
-        a, da = b, db
-        b, db = [], -1
-    while db >= 0:
-        # remainder of a by b
-        while da >= db >= 0:
-            f = a[da] / b[db]
-            for i in range(db + 1):
-                a[da - db + i] -= f * b[i]
-            da = deg(a)
-        a, da, b, db = b, db, a, da
-    if da < 0:
-        return []
-    lead = a[da]
-    return [c / lead for c in a[: da + 1]]
+def binary_row(f: MultiPoly, d: int):
+    """Coefficients (c_{d,0}, c_{d-1,1}, ..., c_{0,d}) of a binary form of
+    degree d, leading coefficient first; a form of lower degree e is read as
+    f * y^(d - e)."""
+    row = [_ZERO] * (d + 1)
+    for (i, _), c in f.terms.items():
+        row[d - i] = c
+    return row
 
 
 def gcd_binary_forms(forms, names) -> MultiPoly:
@@ -536,6 +528,11 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
     integer-primitive with positive leading (graded-lex) coefficient.
 
     Nonzero inputs may have different degrees; zero entries are skipped.
+    The rows of the Sylvester matrix of g and h, of degrees m and n, span
+    the forms of degree m + n - 1 divisible by gcd(g, h), so the last row of
+    its fraction-free echelon form is c * gcd * y^(rank - 1) and the gcd is
+    that row from index rank - 1 on (Laidacker, Math. Mag. 42 (1969)).  The
+    forms are folded in one at a time, until the gcd is constant.
     """
     names = tuple(names)
     x, y = names
@@ -547,26 +544,20 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
             raise DomainError("gcd_binary_forms expects homogeneous forms")
         if f.variables_used() - {x, y}:
             raise DomainError("forms must live in the two given variables")
-    # powers of y are invisible after dehomogenizing at y=1; track them apart
-    min_y = min(min(e[f.names.index(y)] for e in f.terms) for f in live)
-    g_univ = None
+    g = None
     for f in live:
-        fx = restrict(f, names)
-        cs = {}
-        for (ex, ey), c in fx.terms.items():
-            cs[ex] = cs.get(ex, _ZERO) + c
-        coeffs = [cs.get(i, _ZERO) for i in range(max(cs) + 1)]
-        g_univ = coeffs if g_univ is None else _univ_gcd(g_univ, coeffs)
-        if len(g_univ) == 1 and min_y == 0:
+        f = restrict(f, names)
+        row = _integer_rows([binary_row(f, f.total_degree())])[0][0]
+        if g is not None:
+            ech, pivots, _ = _echelon(sylvester_rows(g, row), len(g) + len(row) - 2)
+            row = ech[-1][len(pivots) - 1:]
+            content = gcd(*row)
+            row = [c // content for c in row]
+        g = row
+        if len(g) == 1:
             break
-    d = len(g_univ) - 1
-    out = {}
-    for i, c in enumerate(g_univ):
-        if c != 0:
-            out[(i, (d - i) + min_y)] = c
-    g = MultiPoly(names, out)
-    _, g = g.rational_content()
-    return g
+    d = len(g) - 1
+    return MultiPoly(names, {(d - k, k): c for k, c in enumerate(g)}).rational_content()[1]
 
 
 # --- determinants over a ring ------------------------------------------------
@@ -757,13 +748,10 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:
         raise DomainError("resultant of the zero form")
     if len(f.names) != 2 or g.names != f.names:
         raise DomainError("binary forms expected (ring with two variables)")
-    coeffs = []
     for h in (f, g):
         if not h.is_homogeneous():
             raise DomainError("form is not homogeneous in the binary pair")
-        d = h.total_degree()
-        coeffs.append([h.terms.get((d - k, k), _ZERO) for k in range(d + 1)])
-    return det(sylvester_rows(*coeffs))
+    return det(sylvester_rows(binary_row(f, f.total_degree()), binary_row(g, g.total_degree())))
 
 
 def monomials_of_degree(nvars, d):

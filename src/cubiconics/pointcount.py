@@ -3,15 +3,18 @@
 Projective points are primitive integer tuples with the first nonzero
 coordinate positive, counted one representative per sign class; the height
 is the max coordinate magnitude.  Affine (integral) points live in the
-euclidean ball.  Enumeration fixes all coordinates but one and solves the
-remaining univariate equation of degree at most 3 in exact integers,
-vectorized over the fibers: its critical points cut the range into pieces on
-which it is monotone, an integer bisection finds the one root a piece can
-hold, and an exact zero proves it, so no float rounding can drop or invent a
-point.  The projective scan needs homogeneous
-forms: it covers only the half of the prefix box whose first nonzero entry
-is positive, so each point class is hit once, and it keeps the primitive
-rows and fixes their sign in numpy, chunk by chunk.
+euclidean ball or the max-norm box.  Both counts run one box scan: it fixes
+all coordinates but one and solves the remaining univariate equation of
+degree at most 3 in exact integers, vectorized over the fibers: its critical
+points cut the range into pieces on which it is monotone, an integer
+bisection finds the one root a piece can hold, and an exact zero proves it,
+so no float rounding can drop or invent a point.  The scan yields its rows
+batch by batch, and each count cuts a batch as it arrives.  The projective
+scan needs homogeneous forms: it covers only the half of the prefix box
+whose first nonzero entry is positive, so each point class is hit once, and
+it keeps the primitive rows and fixes their sign.  The affine scan covers
+the whole box of side floor(B) and, for the ball, keeps the rows with
+sum x_i^2 <= floor(B^2).
 
 Before the root kernel, a local-solubility sieve (as in Stoll's ratpoints)
 drops the fibers with no root modulo some m in SIEVE_MODULI.  Whether
@@ -248,9 +251,8 @@ def _solve_fibers(coeffs, rest, var, prefix_arrays, xcap):
 
 def _fiber_points(rest, coeffs, names, var, prefix, xcap):
     """Every integer solution with |var| <= xcap over the prefix fibers, as
-    rows in ``names`` order plus the fiber index of each row, each solution
-    once.  ``coeffs`` and ``rest`` split the system as _solve_form_coeffs
-    does."""
+    rows in ``names`` order, each solution once.  ``coeffs`` and ``rest``
+    split the system as _solve_form_coeffs does."""
     n = len(next(iter(prefix.values())))
     if coeffs is None:
         fib = xs = np.empty(0, dtype=np.int64)
@@ -274,7 +276,7 @@ def _fiber_points(rest, coeffs, names, var, prefix, xcap):
     rows = np.empty((len(fib), len(names)), dtype=np.int64)
     for j, name in enumerate(names):
         rows[:, j] = xs if name == var else prefix[name][fib]
-    return rows, fib
+    return rows
 
 
 def _lead_sign(rows):
@@ -403,6 +405,24 @@ def _sieved_prefixes(tables, nvars: int, B: int, half: bool = False):
         yield joined()
 
 
+def _box_rows(forms, names, var, B: int, half: bool):
+    """Yield the integer solutions of the system in the box [-B, B]^n as
+    int64 rows in ``names`` order, one batch at a time, each solution once.
+    ``var`` is solved exactly per fiber over the prefixes, the other
+    coordinates.  With ``half`` only the prefixes whose first nonzero entry
+    is positive are scanned."""
+    forms = [restrict(f, names) for f in forms]
+    if any(f.is_zero() for f in forms):
+        raise DomainError("zero form in the system")
+    forms = [f.rational_content()[1] for f in forms]
+    others = [n for n in names if n != var]
+    coeffs, rest = _solve_form_coeffs(forms, var)
+    nfib = (2 * B + 1) ** len(others)
+    tables = _sieve_tables(coeffs, others, nfib // 2 if half else nfib)
+    for prefix in _sieved_prefixes(tables, len(others), B, half=half):
+        yield _fiber_points(rest, coeffs, names, var, dict(zip(others, prefix)), B)
+
+
 def enumerate_projective(forms, names, B, budget: float | None = None,
                          solve_var: str | None = None) -> CountResult:
     """All points of P^n(Q) on the common zero locus with height <= B.
@@ -422,21 +442,13 @@ def enumerate_projective(forms, names, B, budget: float | None = None,
     _check_budget(len(names), B, budget)
     forms = [restrict(f, names) for f in forms]
     for f in forms:
-        if f.is_zero():
-            raise DomainError("zero form in the system")
         if not f.is_homogeneous():
             raise DomainError(f"form is not homogeneous: {f}")
-    forms = [f.rational_content()[1] for f in forms]
-
     var = solve_var or names[-1]
-    others = [n for n in names if n != var]
-    coeffs, rest = _solve_form_coeffs(forms, var)
     # the zero prefix holds one point class, the unit point of var
     unit = np.array([[int(n == var) for n in names]], dtype=np.int64)
     found = [unit if all(f.evaluate(unit[0].tolist()) == 0 for f in forms) else unit[:0]]
-    tables = _sieve_tables(coeffs, others, ((2 * B + 1) ** len(others) - 1) // 2)
-    for prefix in _sieved_prefixes(tables, len(others), B, half=True):
-        rows, _ = _fiber_points(rest, coeffs, names, var, dict(zip(others, prefix)), B)
+    for rows in _box_rows(forms, names, var, B, half=True):
         rows = rows[np.gcd.reduce(np.abs(rows), axis=1) == 1]
         rows *= _lead_sign(rows)[:, None]
         found.append(rows)
@@ -448,7 +460,8 @@ def enumerate_projective(forms, names, B, budget: float | None = None,
 def enumerate_affine(forms, names, B, budget: float | None = None,
                      norm: str = "euclidean") -> CountResult:
     """Integer points on the affine locus inside the euclidean ball of radius
-    B (default) or the max-norm box."""
+    B (default) or the max-norm box: the box of side floor(B), its rows cut
+    to the ball by the exact test sum x_i^2 <= floor(B^2)."""
     names = tuple(names)
     if len(names) < 2:
         raise DomainError("affine enumeration expects at least two coordinates")
@@ -457,33 +470,10 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
     if norm not in ("euclidean", "max"):
         raise DomainError("norm must be 'euclidean' or 'max'")
     _check_budget(len(names) + 1, B, budget)
-    forms = [restrict(f, names) for f in forms]
-    for f in forms:
-        if f.is_zero():
-            raise DomainError("zero form in the system")
-    forms = [f.rational_content()[1] for f in forms]
-    Bi = int(math.floor(B))
     B2 = int(math.floor(B * B))
-    var = names[-1]
-    others = names[:-1]
-    coeffs, rest = _solve_form_coeffs(forms, var)
     found = [np.empty((0, len(names)), dtype=np.int64)]
-    tables = _sieve_tables(coeffs, others, (2 * Bi + 1) ** len(others))
-    for arrays in _sieved_prefixes(tables, len(others), Bi):
-        if norm == "max":
-            rows, _ = _fiber_points(rest, coeffs, names, var,
-                                    dict(zip(others, arrays)), Bi)
-        else:
-            norm2 = sum(a * a for a in arrays)
-            keep = norm2 <= B2
-            if not keep.any():
-                continue
-            room = B2 - norm2[keep]
-            rows, fib = _fiber_points(rest, coeffs, names, var,
-                                      {n: a[keep] for n, a in zip(others, arrays)},
-                                      math.isqrt(int(room.max())))
-            rows = rows[rows[:, -1] ** 2 <= room[fib]]
-        found.append(rows)
+    for rows in _box_rows(forms, names, names[-1], int(math.floor(B)), half=False):
+        found.append(rows if norm == "max" else rows[(rows * rows).sum(axis=1) <= B2])
     pts = _unique_rows(np.concatenate(found))
     return CountResult(len(pts), tuple(zip(*pts.T.tolist())), True)
 
@@ -611,6 +601,36 @@ def _fit_exponent(Bs, counts):
     return float(slope), resid
 
 
+def _offline_census(kind, B_list, res, online, size, constants):
+    """The keys both conic experiments report.  ``res`` holds the points up
+    to the largest bound and ``online`` those of them on lines; an off-line
+    point p counts at B when size(p) <= size((B,)), an exact integer test.
+    The counts are fitted and set against the paper's overlay for ``kind``."""
+    offline = [size(p) for p in res.points if p not in online]
+    counts = [sum(s <= size((Bv,)) for s in offline) for Bv in B_list]
+    bounds = [bound_evaluator(kind, {"B": Bv}, constants) for Bv in B_list]
+    slope, resid = _fit_exponent(B_list, counts)
+    return {
+        "B_list": B_list,
+        "counts": counts,
+        "total_points": res.count,
+        "on_line_points": len(online),
+        "fitted_exponent": slope,
+        "fit_max_residual": resid,
+        "overlay_exponent": bound_exponent(kind),
+        "overlay_bounds": bounds,
+        "proxy_note": "off-line points; conic-membership proxy without multiplicity",
+    }
+
+
+def _height(p):
+    return max(map(abs, p))
+
+
+def _norm2(p):
+    return sum(c * c for c in p)
+
+
 def points_on_conics_experiment(surface, lines, B_list,
                                 constants: ExternalConstants | None = None,
                                 budget: float | None = None) -> dict:
@@ -620,32 +640,14 @@ def points_on_conics_experiment(surface, lines, B_list,
     with a line, so the off-line census is the conic-covered census; this is
     the membership proxy (covering multiplicity is not tracked).
     """
-    constants = constants or ExternalConstants()
     B_list = sorted(int(b) for b in B_list)
     if not B_list:
         return {"B_list": [], "counts": [], "fitted_exponent": None}
     res = enumerate_projective([surface.f], T4, max(B_list), budget=budget)
-    online = points_on_lines(res.points, lines)
-    offline = [p for p in res.points if p not in online]
-    counts = []
-    bounds = []
-    for Bv in B_list:
-        n = sum(1 for p in offline if max(abs(c) for c in p) <= Bv)
-        counts.append(n)
-        bounds.append(bound_evaluator("conics-rational", {"B": Bv}, constants))
-    slope, resid = _fit_exponent(B_list, counts)
-    return {
-        "B_list": B_list,
-        "counts": counts,
-        "total_points": res.count,
-        "on_line_points": len(online),
-        "fitted_exponent": slope,
-        "fit_max_residual": resid,
-        "overlay_exponent": bound_exponent("conics-rational"),
-        "overlay_bounds": bounds,
-        "bound_satisfied": [c <= b for c, b in zip(counts, bounds)],
-        "proxy_note": "off-line points; conic-membership proxy without multiplicity",
-    }
+    out = _offline_census("conics-rational", B_list, res, points_on_lines(res.points, lines),
+                          _height, constants or ExternalConstants())
+    out["bound_satisfied"] = [c <= b for c, b in zip(out["counts"], out["overlay_bounds"])]
+    return out
 
 
 def integral_conics_experiment(f_affine: MultiPoly, B_list,
@@ -654,36 +656,15 @@ def integral_conics_experiment(f_affine: MultiPoly, B_list,
                                budget: float | None = None) -> dict:
     """Integral off-line point counts in the euclidean ball for an affine
     cubic surface, with the trivial-bound audit on every result."""
-    constants = constants or ExternalConstants()
-    names = ("T1", "T2", "T3")
-    f_affine = restrict(f_affine, names)
-    delta = f_affine.total_degree()
     B_list = sorted(int(b) for b in B_list)
     if not B_list:
         return {"B_list": [], "counts": [], "fitted_exponent": None}
-    res = enumerate_affine([f_affine], names, max(B_list), budget=budget)
-    onlines = ({p[1:] for p in points_on_lines([(1,) + p for p in res.points], lines)}
-               if lines else set())
-    offline = [p for p in res.points if p not in onlines]
-    counts = []
-    trivial_ok = []
-    bounds = []
-    for Bv in B_list:
-        n = sum(1 for p in offline if sum(c * c for c in p) <= Bv * Bv)
-        total = sum(1 for p in res.points if sum(c * c for c in p) <= Bv * Bv)
-        counts.append(n)
-        trivial_ok.append(total <= delta * (2 * Bv + 1) ** 2)
-        bounds.append(bound_evaluator("conics-integral", {"B": Bv}, constants))
-    slope, resid = _fit_exponent(B_list, counts)
-    return {
-        "B_list": B_list,
-        "counts": counts,
-        "total_points": res.count,
-        "on_line_points": len(onlines),
-        "fitted_exponent": slope,
-        "fit_max_residual": resid,
-        "overlay_exponent": bound_exponent("conics-integral"),
-        "overlay_bounds": bounds,
-        "trivial_bound_ok": trivial_ok,
-        "proxy_note": "off-line points; conic-membership proxy without multiplicity",
-    }
+    res = enumerate_affine([f_affine], ("T1", "T2", "T3"), max(B_list), budget=budget)
+    online = ({p[1:] for p in points_on_lines([(1,) + p for p in res.points], lines)}
+              if lines else set())
+    out = _offline_census("conics-integral", B_list, res, online, _norm2,
+                          constants or ExternalConstants())
+    totals = [sum(_norm2(p) <= Bv * Bv for p in res.points) for Bv in B_list]
+    delta = f_affine.total_degree()
+    out["trivial_bound_ok"] = [t <= delta * (2 * Bv + 1) ** 2 for t, Bv in zip(totals, B_list)]
+    return out

@@ -323,6 +323,12 @@ def test_gf_context_tables():
     assert (mul[x, mul[y, z]] == mul[mul[x, y], z]).all()
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_gf_context_refuses_non_primes(p):
+    with pytest.raises(DomainError):
+        GFContext(p, 1)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_gf_context_cached_tables(p, e):

@@ -11,7 +11,7 @@ from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank
 from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, iroot,
                                   essential_variable_count, gcd_binary_forms,
-                                  macaulay_resultant, sylvester_resultant,
+                                  macaulay_resultant, restrict, sylvester_resultant,
                                   sylvester_rows)
 from test_linalg import fraction_solve
 
@@ -249,6 +249,62 @@ def test_binary_gcd():
     assert gcd_binary_forms([MultiPoly.parse("t1^2", tn),
                              MultiPoly.parse("t2^2", tn)], tn) == \
         MultiPoly.constant(1, tn)
+
+
+def _euclid_gcd(forms, names):
+    """Gcd of binary forms by Euclid's algorithm on Fraction coefficient
+    lists in x at y = 1, times the least power of y that divides every form:
+    the route the Sylvester echelon replaced."""
+    def poly_rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i in range(len(b)):
+                a[len(a) - len(b) + i] -= q * b[i]
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    live = [restrict(f, names) for f in forms if not f.is_zero()]
+    g = []
+    for f in live:
+        a = [Fraction(0)] * (max(e[0] for e in f.terms) + 1)
+        for (ex, _), c in f.terms.items():
+            a[ex] += c
+        while a:
+            g, a = a, poly_rem(g, a)
+    ypow = min(min(e[1] for e in f.terms) for f in live)
+    d = len(g) - 1
+    g = MultiPoly(names, {(i, d - i + ypow): c for i, c in enumerate(g)})
+    return g.rational_content()[1]
+
+
+def test_gcd_binary_forms_matches_euclid():
+    tn = ("x", "y")
+    rng = random.Random(5)
+    x, y = (MultiPoly.variable(n, tn) for n in tn)
+    factors = [x, y, x + y, x - 2 * y, 3 * x + y, 2 * x + 5 * y, x * x + y * y]
+    for _ in range(400):
+        common = MultiPoly.constant(1, tn)
+        for _ in range(rng.randint(0, 3)):
+            common = common * rng.choice(factors)
+        forms = []
+        for _ in range(rng.randint(1, 4)):
+            f = common * Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 7]))
+            for _ in range(rng.randint(0, 3)):
+                f = f * rng.choice(factors)
+            forms.append(f)
+        # zero forms are skipped, constants end the gcd, degrees mix
+        forms += rng.choice([[], [MultiPoly.zero(tn)], [MultiPoly.constant(Fraction(3, 2), tn)]])
+        rng.shuffle(forms)
+        assert gcd_binary_forms(forms, tn) == _euclid_gcd(forms, tn), [str(f) for f in forms]
+    # the forms may live in a larger ring with the pair in either order
+    ring = ("y", "z", "x")
+    f, g = embed(x * x * y, ring), embed(x * y * (x + y), ring)
+    assert gcd_binary_forms([f, g], tn) == x * y
+    with pytest.raises(DomainError):
+        gcd_binary_forms([MultiPoly.zero(tn)], tn)
 
 
 def test_parse_roundtrip():

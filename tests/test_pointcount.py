@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -65,7 +66,8 @@ def brute_projective(forms, names, B):
 
 def brute_affine(forms, names, B, norm):
     int_forms = _int_forms(forms, names)
-    return [raw for raw in itertools.product(range(-B, B + 1), repeat=len(names))
+    Bi = math.floor(B)
+    return [raw for raw in itertools.product(range(-Bi, Bi + 1), repeat=len(names))
             if (norm == "max" or sum(v * v for v in raw) <= B * B)
             and _vanishes(int_forms, raw)]
 
@@ -306,6 +308,10 @@ def test_projective_matches_brute_exactly(case):
          0, "max")
 @example(_product_case(("T2 - 5", "T2 + 1000000000", "T2 + T1"), ("T1", "T2"), "T2", 6),
          0, "euclidean")
+# a radius that is not an integer: (1, 2, 0) has norm^2 5, inside the ball
+# of radius 2.5 and outside that of radius 2
+@example(_case("T0*T1*T2", P2, "T2", 2.5), 0, "euclidean")
+@example(_case("T0*T1*T2", P2, "T2", 2.5), 0, "max")
 def test_affine_matches_brute_exactly(case, shift, norm):
     # the affine twin: an inhomogeneous system (constant term ``shift``),
     # the solved variable last
