@@ -4,7 +4,10 @@
 The search runs over the standard monomials of the curve's coordinate ring,
 so every nonzero kernel vector is a witness.  The degree scan is certified:
 a rank mod p bounds the rational rank from below, so standard columns of
-full rank mod p prove that no witness exists at that degree.  The returned
+full rank mod p prove that no witness exists at that degree.  Once the
+standard monomials outnumber the points (the Hilbert bound D0) a witness
+must exist, and a witness times a linear form is one a degree higher, so
+on a curve one full rank at D0 - 1 settles the whole scan.  The returned
 forms carry exact certificates for both legs.
 """
 import sys

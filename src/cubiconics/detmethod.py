@@ -28,18 +28,45 @@ expansion, not only the factors.
 The degree scan is certified arithmetically: a rank modulo a word-size prime
 never exceeds the rational one, so standard columns of full rank mod p prove
 that no witness exists at that degree; only then is an exact fraction-free
-solve run.  The scan reads its matrices mod p from one table of the point
-coordinates' powers, extended as D grows.  Scan records give the full-space
-figures, which the quotient
-determines: ideal_dim = #monomials - #standard (the degree-D part of I(V))
-and dimker_p = ideal_dim + #standard - rank mod p.
+solve run.  Two exact facts bound the scan.  The number of standard
+monomials of degree D has a closed form (_hilbert): with n the variables
+left free by the pivots and d = deg f, h(D) = C(D+n-1, n-1) - C(D-d+n-1,
+n-1).  At the least D0 with h(D0) > #points the standard columns have a
+kernel over Q, so omega <= D0 and no rank is computed from D0 on.  And the
+degrees that admit a witness are closed upwards: if g is a witness at D
+and l a rational linear form vanishing on no component of V, then l*g
+vanishes at the points and, f being squarefree, f does not divide it, so
+l*g is a witness at D + 1.  Full rank at D0 - 1 therefore rules out every
+lower degree.
+
+On a curve the scan computes that one rank first.  Here a curve is a line
+or a plane curve of degree e, with h(D) = eD - e(e-3)/2 once D >= e - 2,
+and by Bezout an irreducible one needs omega >= ceil(#points / e); for
+e <= 3 that is D0 or D0 - 1, so the probe usually settles the scan.  When
+its rank is full, omega = D0 and the records below it are written in
+closed form.  Otherwise, and always on a variety of dimension 2 or more,
+where omega lies far below D0 (Fermat's cubic surface at B = 20 has 1,677
+points, omega 9 and D0 33, so a probe there would eliminate a 1,677 x
+1,585 matrix), the scan ascends from D = 1, reusing the probe's rank.  A
+rank-deficient probe is one wasted elimination of at most #points
+columns: on the reducible cubic T0^2*T2 - T0*T1^2 at B = 10 (143 points,
+omega 9, D0 48) it takes about 3 ms of a 13 ms run.  The scan reads its
+matrices mod p from one table of the point coordinates' powers, extended
+as D grows.
+
+Scan records give the full-space figures, which the quotient determines:
+ideal_dim = #monomials - h(D) (the degree-D part of I(V)) and dimker_p =
+ideal_dim + h(D) - rank mod p.  Below a full-rank probe the rank is h(D)
+by the argument above, so dimker_p = ideal_dim there; a rank computed mod
+p gives the same figure whenever p divides none of the minors.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, prod
+from functools import cache
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -175,6 +202,18 @@ def _standard(exps, pivots, f):
     return np.flatnonzero(mask)
 
 
+def _hilbert(D, nvars, pivots, f):
+    """Number of standard monomials of degree D >= 1, in closed form: the
+    monomials in the variables other than the pivots, less the multiples
+    of the leading monomial of f."""
+    free = nvars - len(pivots)
+
+    def monomials(e):
+        return comb(e + free - 1, free - 1) if e >= 0 and free else 0
+
+    return monomials(D) - (monomials(D - f.total_degree()) if f is not None else 0)
+
+
 @dataclass
 class AuxiliaryForm:
     D: int
@@ -182,9 +221,11 @@ class AuxiliaryForm:
     certificate: dict
 
 
-def _kernel_witness(M: EvaluationMatrix, std, f):
+def _kernel_witness(M: EvaluationMatrix, pivots, f):
     """The first basis vector of the exact kernel of the standard columns of
     M, as a certified witness; None when that kernel is zero."""
+    exps = np.array(M.monomials, dtype=np.int64).reshape(-1, len(M.names))
+    std = _standard(exps, pivots, f)
     kernel = exact_kernel([[r[i] for i in std] for r in M.rows], len(std))
     if not kernel:
         return None
@@ -207,9 +248,7 @@ def auxiliary_form(forms, names, points, D: int):
     if any(g.evaluate(p) != 0 for p in points for g in forms):
         raise DomainError("auxiliary_form needs points on the variety")
     pivots, f = _quotient(forms, names)
-    M = evaluation_matrix(points, D, names)
-    exps = np.array(M.monomials, dtype=np.int64).reshape(-1, len(names))
-    return _kernel_witness(M, _standard(exps, pivots, f), f)
+    return _kernel_witness(evaluation_matrix(points, D, names), pivots, f)
 
 
 def _vec_to_poly(v, monomials, names):
@@ -223,10 +262,13 @@ def minimal_omega(forms, names, B,
                   constants: ExternalConstants | None = None,
                   enum_budget: float | None = None) -> dict:
     """Least degree omega admitting an auxiliary form through all points of
-    height <= B, by linear scan from D = 1 with mod-p certified skips.
+    height <= B, by a scan over D with mod-p certified skips.
 
-    Returns the witness form with its certificates and the closed-form bound
-    shape evaluation for comparison.
+    No rank is computed from the Hilbert bound D0 on, where a witness is
+    certain.  On a curve one rank at D0 - 1 starts the scan at D0 when it
+    is full (see the module docstring); otherwise the scan starts at D = 1.
+    Returns the witness form with its certificates and the closed-form
+    bound shape evaluation for comparison.
     """
     names = tuple(names)
     forms = [f.rational_content()[1] for f in (restrict(f, names) for f in forms)]
@@ -236,26 +278,45 @@ def minimal_omega(forms, names, B,
     pivots, f = _quotient(forms, names)
     p = _ROW_PRIME
     table = None
-    skipped = []
-    for D in range(1, OMEGA_BUDGET + 1):
+
+    def hilbert(D):
+        return _hilbert(D, nvars, pivots, f)
+
+    @cache
+    def rank_at(D):
+        """Rank mod p of the standard columns of degree D."""
+        nonlocal table
+        if not points or not hilbert(D):
+            return 0
         exps = np.array(monomials_of_degree(nvars, D), dtype=np.int64)
-        std = _standard(exps, pivots, f)
-        rank_p = 0
-        if points and len(std):
+        if table is None or len(table) <= D:
             table = _power_table(points, D, p, table)
-            rank_p = rank_mod_p(_matrix_mod_p(table, exps[std], p), p)[0]
-        record = {"D": D, "dimker_p": len(exps) - rank_p,
-                  "ideal_dim": len(exps) - len(std)}
-        if rank_p == len(std):
+        std = exps[_standard(exps, pivots, f)]
+        return rank_mod_p(_matrix_mod_p(table, std, p), p)[0]
+
+    def record(D, rank):
+        total = comb(D + nvars - 1, nvars - 1)
+        return {"D": D, "dimker_p": total - rank, "ideal_dim": total - hilbert(D)}
+
+    # Hilbert bound: more standard columns than points leave a kernel over Q
+    D0 = next((D for D in range(1, OMEGA_BUDGET + 1) if hilbert(D) > len(points)),
+              OMEGA_BUDGET + 1)
+    start, skipped = 1, []
+    curve = nvars - len(pivots) - (f is not None) == 2
+    if curve and 1 < D0 <= OMEGA_BUDGET and rank_at(D0 - 1) == hilbert(D0 - 1):
+        # no witness at D0 - 1, hence none below it
+        start, skipped = D0, [record(D, hilbert(D)) for D in range(1, D0)]
+    for D in range(start, OMEGA_BUDGET + 1):
+        if D < D0 and rank_at(D) == hilbert(D):
             # the rank over Q is at least the rank mod p, so no combination
             # of standard monomials vanishes on the points: no witness at D
-            skipped.append(record)
+            skipped.append(record(D, rank_at(D)))
             continue
         witness = None
         if nvars == 3 and not pivots:
             witness = _product_of_lines_witness(f, names, points, D)
         if witness is None:
-            witness = _kernel_witness(evaluation_matrix(points, D, names), std, f)
+            witness = _kernel_witness(evaluation_matrix(points, D, names), pivots, f)
         if witness is not None:
             delta = max(g.total_degree() for g in forms)
             d = nvars - 1 - len(forms)
@@ -272,7 +333,9 @@ def minimal_omega(forms, names, B,
                 report["bound_shape"] = {"kind": kind, "value": bound_evaluator(
                     kind, {"n": nvars - 1, "delta": delta, "B": B}, constants)}
             return report
-        skipped.append({**record, "note": "witness search exhausted over Q"})
+        if D >= D0:
+            raise AssertionError(f"no witness at degree {D}, past the Hilbert bound {D0}")
+        skipped.append({**record(D, rank_at(D)), "note": "witness search exhausted over Q"})
     raise BudgetError(f"no auxiliary form found up to degree {OMEGA_BUDGET}",
                       partial=skipped)
 

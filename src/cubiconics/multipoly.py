@@ -546,7 +546,8 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
             raise DomainError("forms must live in the two given variables")
     g = None
     for f in live:
-        f = restrict(f, names)
+        if f.names != names:
+            f = restrict(f, names)
         row = _integer_rows([binary_row(f, f.total_degree())])[0][0]
         if g is not None:
             ech, pivots, _ = _echelon(sylvester_rows(g, row), len(g) + len(row) - 2)

@@ -6,16 +6,18 @@ from math import comb, gcd, prod
 import numpy as np
 import pytest
 
+from cubiconics import detmethod
 from cubiconics.cli import load_forms
-from cubiconics.detmethod import (_matrix_mod_p, _power_table,
-                                  _product_of_lines_witness,
-                                  auxiliary_form, evaluation_matrix,
+from cubiconics.detmethod import (OMEGA_BUDGET, _hilbert, _kernel_witness,
+                                  _matrix_mod_p, _power_table,
+                                  _product_of_lines_witness, _quotient,
+                                  _standard, auxiliary_form, evaluation_matrix,
                                   exact_kernel, minimal_omega,
                                   translation_search)
-from cubiconics.errors import DomainError
+from cubiconics.errors import BudgetError, DomainError
 from cubiconics.hilbert_samuel import ExternalConstants
 from cubiconics.linalg import rank_mod_p
-from cubiconics.multipoly import MultiPoly
+from cubiconics.multipoly import MultiPoly, monomials_of_degree, restrict
 from cubiconics.pointcount import enumerate_projective
 
 P2 = ("T0", "T1", "T2")
@@ -179,6 +181,143 @@ def test_scan_matches_full_monomial_space(data_dir, fname, Bmax):
                                             "ideal_dim": ideal}
             else:
                 assert dimker > ideal
+
+
+def _variety(data_dir, name):
+    """(forms, names) of a data file, or of a form or list of forms in P^2."""
+    if name.endswith((".txt", ".cubic")):
+        return load_forms(data_dir / name)
+    return [MultiPoly.parse(g, P2) for g in name.split(";")], P2
+
+
+@pytest.mark.parametrize("name", ["line_p2.txt", "conic.txt", "conic_p3.txt",
+                                  "T0*T1", "fermat.cubic", "T1;T2"])
+def test_hilbert_counts_standard_monomials(data_dir, name):
+    forms, names = _variety(data_dir, name)
+    pivots, f = _quotient(forms, names)
+    for D in range(1, 41):
+        exps = np.array(monomials_of_degree(len(names), D), dtype=np.int64)
+        assert _hilbert(D, len(names), pivots, f) == len(_standard(exps, pivots, f))
+
+
+def _reference_scan(forms, names, B):
+    """minimal_omega as a plain ascending scan, a rank mod p of the standard
+    columns at every degree from 1 until a witness turns up: (omega, form,
+    scan records, number of ranks computed)."""
+    names = tuple(names)
+    forms = [restrict(g, names).rational_content()[1] for g in forms]
+    points = enumerate_projective(forms, names, B).points
+    pivots, f = _quotient(forms, names)
+    p, table, scan, ranks = SCAN_PRIME, None, [], 0
+    for D in range(1, OMEGA_BUDGET + 1):
+        exps = np.array(monomials_of_degree(len(names), D), dtype=np.int64)
+        std = _standard(exps, pivots, f)
+        rank = 0
+        if points and len(std):
+            table = _power_table(points, D, p, table)
+            rank = rank_mod_p(_matrix_mod_p(table, exps[std], p), p)[0]
+            ranks += 1
+        record = {"D": D, "dimker_p": len(exps) - rank,
+                  "ideal_dim": len(exps) - len(std)}
+        if rank == len(std):
+            scan.append(record)
+            continue
+        witness = None
+        if len(names) == 3 and not pivots:
+            witness = _product_of_lines_witness(f, names, points, D)
+        if witness is None:
+            witness = _kernel_witness(evaluation_matrix(points, D, names), pivots, f)
+        if witness is not None:
+            return D, str(witness.form), scan, ranks
+        scan.append({**record, "note": "witness search exhausted over Q"})
+
+
+def _count_ranks(monkeypatch):
+    """A list that grows by one for every rank minimal_omega computes."""
+    calls = []
+
+    def counted(rows, p):
+        calls.append(p)
+        return rank_mod_p(rows, p)
+
+    monkeypatch.setattr(detmethod, "rank_mod_p", counted)
+    return calls
+
+
+REDUCIBLE_CUBIC = "T0^2*T2 - T0*T1^2"
+
+
+@pytest.mark.parametrize("name,Bs", [
+    ("line_p2.txt", range(1, 4)), ("conic.txt", range(1, 17)),
+    ("conic_p3.txt", range(1, 10)), (REDUCIBLE_CUBIC, [10]),
+    ("fermat.cubic", range(1, 9))])
+def test_scan_matches_ascending_reference(data_dir, monkeypatch, name, Bs):
+    # the Hilbert bound and the curve probe change which ranks are computed,
+    # never the report; a surface never takes the probe
+    forms, names = _variety(data_dir, name)
+    calls = _count_ranks(monkeypatch)
+    for B in Bs:
+        omega, form, scan, ref_ranks = _reference_scan(forms, names, B)
+        calls.clear()
+        r = minimal_omega(forms, names, B)
+        assert (r["omega"], r["form"], r["scan"]) == (omega, form, scan)
+        if name == "fermat.cubic":
+            assert len(calls) == ref_ranks
+        elif name == REDUCIBLE_CUBIC:
+            # omega 9 and D0 48: the probe at 47 is wasted
+            assert (omega, len(calls)) == (9, ref_ranks + 1)
+        else:
+            assert len(calls) == 1
+
+
+def test_conic_scan_needs_one_rank(data_dir, monkeypatch):
+    forms, names = load_forms(data_dir / "conic.txt")
+    calls = _count_ranks(monkeypatch)
+    r = minimal_omega(forms, names, 64)
+    assert (r["omega"], r["points"], len(calls)) == (44, 88, 1)
+
+
+def test_small_prime_scan_matches_large_prime(data_dir, monkeypatch):
+    # mod 7 the probe goes rank-deficient once the points outnumber
+    # P^1(F_7), and the exact search runs at degrees without a witness
+    cases = [(name, B) for name, Bmax in (("line_p2.txt", 3), ("conic.txt", 16),
+                                          ("conic_p3.txt", 9))
+             for B in range(1, Bmax + 1)]
+    want = {}
+    for name, B in cases:
+        forms, names = load_forms(data_dir / name)
+        want[name, B] = minimal_omega(forms, names, B)
+    monkeypatch.setattr(detmethod, "_ROW_PRIME", 7)
+    probes, exhausted = [], 0
+    for name, B in cases:
+        forms, names = load_forms(data_dir / name)
+        r = minimal_omega(forms, names, B)
+        assert (r["omega"], r["form"]) == (want[name, B]["omega"], want[name, B]["form"])
+        pts = enumerate_projective(forms, names, B).points
+        pivots, f = _quotient(forms, names)
+        h = [None] + [_hilbert(D, len(names), pivots, f) for D in range(1, 60)]
+        D0 = next(D for D in range(1, 60) if h[D] > len(pts))
+        exps = np.array(monomials_of_degree(len(names), D0 - 1), dtype=np.int64)
+        std = exps[_standard(exps, pivots, f)]
+        probe = _matrix_mod_p(_power_table(pts, D0 - 1, 7), std, 7)
+        full = rank_mod_p(probe, 7)[0] == h[D0 - 1]
+        probes.append(full)
+        if full:
+            assert r["omega"] == D0
+            assert all(rec["dimker_p"] == rec["ideal_dim"] and "note" not in rec
+                       for rec in r["scan"])
+        exhausted += any("note" in rec for rec in r["scan"])
+    assert any(probes) and not all(probes) and exhausted
+
+
+def test_scan_without_hilbert_bound_fails_loudly(monkeypatch):
+    # one standard monomial at every degree for one point: no degree has
+    # more standard columns than points, so no witness is ever certain
+    monkeypatch.setattr(detmethod, "OMEGA_BUDGET", 20)
+    with pytest.raises(BudgetError) as err:
+        minimal_omega([MultiPoly.parse("T1", P2), MultiPoly.parse("T2", P2)], P2, 3)
+    assert [rec["D"] for rec in err.value.partial] == list(range(1, 21))
+    assert all(rec["dimker_p"] == rec["ideal_dim"] for rec in err.value.partial)
 
 
 def _multipoly_product_of_lines(points, D):

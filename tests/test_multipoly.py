@@ -251,6 +251,23 @@ def test_binary_gcd():
         MultiPoly.constant(1, tn)
 
 
+def test_binary_gcd_of_forms_in_a_larger_ring():
+    # forms from a larger ring, or with the pair in the other order, are
+    # moved into the pair's ring first; a third variable is refused
+    big = ("t0", "t1", "t2")
+    a = MultiPoly.parse("t1^3*t2 + t1^2*t2^2", big)
+    b = MultiPoly.parse("t1^2*t2^2 + t1*t2^3", big)
+    tn = ("t1", "t2")
+    assert gcd_binary_forms([a, b], tn) == MultiPoly.parse("t1^2*t2 + t1*t2^2", tn)
+    swapped = ("t2", "t1")
+    assert gcd_binary_forms([a, b], swapped) == \
+        MultiPoly.parse("t1^2*t2 + t1*t2^2", swapped)
+    with pytest.raises(DomainError, match="two given variables"):
+        gcd_binary_forms([a, MultiPoly.parse("t0*t1", big)], tn)
+    with pytest.raises(DomainError, match="homogeneous"):
+        gcd_binary_forms([a, MultiPoly.parse("t1^2 + t2", tn)], tn)
+
+
 def _euclid_gcd(forms, names):
     """Gcd of binary forms by Euclid's algorithm on Fraction coefficient
     lists in x at y = 1, times the least power of y that divides every form:
