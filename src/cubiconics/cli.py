@@ -97,21 +97,9 @@ def cmd_primes(args):
 
 
 def cmd_hs(args):
-    out = {
-        "local_check": cmd_hs_local(args),
-        "geometric_window": cmd_hs_geo(args),
-    }
-    return out
-
-
-def cmd_hs_local(args):
-    rep = q_lower_bound_check(args.d, args.mu, args.m_max)
-    rep["min_slack"] = tag(rep["min_slack"], "exact")
-    rep["table_head"] = [local_hs(args.d, args.mu, s) for s in range(8)]
-    return rep
-
-
-def cmd_hs_geo(args):
+    local = q_lower_bound_check(args.d, args.mu, args.m_max)
+    local["min_slack"] = tag(local["min_slack"], "exact")
+    local["table_head"] = [local_hs(args.d, args.mu, s) for s in range(8)]
     bad = []
     checked = 0
     for d in range(1, 4):
@@ -121,7 +109,8 @@ def cmd_hs_geo(args):
                 checked += 1
                 if not (lo and hi):
                     bad.append((d, delta, D, rg))
-    return {"checked": checked, "violations": bad, "D_max": args.geo_D_max}
+    return {"local_check": local,
+            "geometric_window": {"checked": checked, "violations": bad, "D_max": args.geo_D_max}}
 
 
 def _top_part_irreducibility(surface):

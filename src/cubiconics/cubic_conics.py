@@ -29,18 +29,16 @@ from .cayley import (PLUCKER, T4, TPAR, LineP3, PluckerForm,
 from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import (factorize, ff_factor_linear, gf_context, gf_eval,
                          proj_points, reduce_mod_p)
-from .multipoly import (MultiPoly, bezout_cutoff, binary_row, coefficients_in, embed,
-                        _heights, _primitive_pair_blocks, essential_variable_count,
-                        gcd_binary_forms, iroot, monomials_of_degree, pivot_substitution,
-                        restrict, sylvester_resultant)
-from .pointcount import CHUNK_FIBERS, _np_eval
+from .multipoly import (CHUNK_FIBERS, MultiPoly, absmax, bezout_cutoff, binary_heights,
+                        binary_row, bounded_height_pairs, coefficients_in, embed,
+                        essential_variable_count, gcd_binary_forms, int_dtype, int_eval,
+                        monomials_of_degree, pivot_substitution, restrict,
+                        sylvester_resultant)
 
 DEFAULT_LINE_BUDGET = 2_000_000
 SMOOTHNESS_PRIMES = (2, 3, 5, 7, 11)
 # height bound of the search for lines in the singular locus
 SINGULAR_LINE_HEIGHT = 1
-# parameter box of a census with no coprime pair of coefficient rows
-CENSUS_HARD_CAP = 4000
 
 
 # --- surfaces and lines -----------------------------------------------------------
@@ -148,12 +146,12 @@ def line_in_forms(cands, forms):
     it.  A form of degree d restricts to a binary form of degree d on the
     line, and vanishing at the d + 1 distinct points P + mQ, m = 0..d,
     proves the restriction zero, which is ideal membership.  Each
-    homogeneous part is tested apart, with its denominators cleared, by the
-    int64-guarded ``_np_eval``.  A zero form passes.  Entries below 2^28
-    keep P + mQ below 2^63 for every m < 64.
+    homogeneous part is tested apart, with its denominators cleared, by
+    ``int_eval``.  A zero form passes.  A block is refused unless int64
+    holds 64 X^2 (``int_dtype``), X its largest entry, which bounds P + mQ.
     """
     cands = np.asarray(cands, dtype=np.int64)
-    if cands.size and int(np.abs(cands).max()) >= 1 << 28:
+    if int_dtype([(64, 2)], absmax(cands)) is object:
         raise DomainError("candidate rows too large for int64 spanning points")
     n = len(cands)
     at = np.arange(n)
@@ -178,20 +176,19 @@ def line_in_forms(cands, forms):
                 if not len(alive):
                     break
                 pts = P[alive] + m * Q[alive]
-                vals = _np_eval(g, {name: pts[:, k] for k, name in enumerate(g.names)})
+                vals = int_eval(g, {name: pts[:, k] for k, name in enumerate(g.names)})
                 alive = alive[vals == 0]
     hit = np.zeros(n, dtype=bool)
     hit[alive] = True
     return hit
 
 
-def find_lines(surface: CubicSurface, height_bound: int = 1,
-               budget: int = DEFAULT_LINE_BUDGET):
+def find_lines(surface: CubicSurface, height_bound: int = 1):
     """All lines on the surface whose row-reduced hyperplane pair has entries
     of height <= height_bound, with exact ideal-membership certificates."""
     f = surface.f
     seen = {}
-    for block in _rref_line_candidates(height_bound, budget):
+    for block in _rref_line_candidates(height_bound, DEFAULT_LINE_BUDGET):
         for rows in block[line_in_forms(block, [f])]:
             row1, row2 = _fraction_rows(rows)
             l1, l2 = _form_from_row(row1), _form_from_row(row2)
@@ -279,8 +276,7 @@ def classify_cubic(f: MultiPoly) -> dict:
     return record
 
 
-def absolutely_irreducible_cubic_mod_p(f: MultiPoly, p: int,
-                                       budget: int = 4_000_000) -> str:
+def absolutely_irreducible_cubic_mod_p(f: MultiPoly, p: int) -> str:
     """One-sided absolute-irreducibility certificate for a cubic form.
 
     A cubic is geometrically reducible over F_p-bar exactly when it has a
@@ -298,7 +294,7 @@ def absolutely_irreducible_cubic_mod_p(f: MultiPoly, p: int,
         return "inconclusive"
     try:
         for e in (1, 2, 3):
-            factors, _ = ff_factor_linear(f, p, e, budget=budget)
+            factors, _ = ff_factor_linear(f, p, e)
             if factors:
                 return "reducible"
     except BudgetError:
@@ -346,10 +342,6 @@ def residual_conic(surface: CubicSurface, rline: RationalLine, t=None):
 
 @dataclass
 class ConicPencil:
-    surface: CubicSurface
-    rline: RationalLine
-    ell_t: MultiPoly            # symbolic plane, in T and t variables
-    Q_t: MultiPoly              # symbolic residual conic lift
     b_content: MultiPoly        # stripped family content b(t1, t2)
     psi_family: PluckerForm     # canonical conic Cayley family, p and t vars
     b_ij: dict                  # degree-2 p-monomial -> binary form in t
@@ -430,8 +422,7 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
             raise PropertyViolationError(f"family coefficients share the factor {g}")
 
     a_family = [b_ij[_pmono_exponent(pair)] for pair in A_MONOMIAL_ORDER]
-    return ConicPencil(surface, rline, ell_sym, Q_sym, b_content, psi, b_ij,
-                       a_family, family_degree)
+    return ConicPencil(b_content, psi, b_ij, a_family, family_degree)
 
 
 # --- leading family and image shape ---------------------------------------------------
@@ -439,17 +430,8 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
 
 def _family_rows(family):
     live = [q for q in family if q and not q.is_zero()]
-    if not live:
-        return [], 0
     d = max(q.total_degree() for q in live)
     return [binary_row(q, d) for q in live], d
-
-
-def family_rank(family) -> int:
-    rows, d = _family_rows(family)
-    if not rows:
-        return 0
-    return linalg.rank(rows, d + 1)
 
 
 def leading_family(pencil: ConicPencil, irreducibility_certificate: str | None = None) -> dict:
@@ -464,7 +446,8 @@ def leading_family(pencil: ConicPencil, irreducibility_certificate: str | None =
     live = [q for q in a if not q.is_zero()]
     if not live:
         raise PropertyViolationError("leading family vanishes identically")
-    rank = family_rank(a)
+    rows, d = _family_rows(a)
+    rank = linalg.rank(rows, d + 1)
     certified = irreducibility_certificate == "certified-irreducible"
     if rank <= 1 and certified:
         raise PropertyViolationError(f"leading-family rank {rank} is below 2")
@@ -577,43 +560,34 @@ def _distinct_projective_roots(q: MultiPoly) -> int:
 
 def specialized_height(pencil: ConicPencil, t1: int, t2: int) -> int:
     """Naive height of the family member at primitive integer (t1, t2)."""
-    return int(_heights(*pencil.int_rows, [(t1, t2)])[0])
+    return int(binary_heights(*pencil.int_rows, [(t1, t2)])[0])
 
 
 def conic_census(pencil: ConicPencil, B) -> dict:
     """Count pencil parameters [t1:t2] whose family member has height <= B.
 
-    The enumeration region is certified complete via the exact cutoff
-    constant of ``multipoly.bezout_cutoff``, whose Bezout identities also
-    bound the content of each member; with no coprime coefficient pair
-    available it falls back to CENSUS_HARD_CAP and says so.  Heights are
-    taken in blocks of parameters whose values fit CHUNK_FIBERS entries.
+    The region is certified complete by the exact cutoff constant of
+    ``bezout_cutoff``, whose Bezout identities also bound the content of
+    each member, and walked by ``bounded_height_pairs``.  With no coprime
+    pair of coefficient rows there is no cutoff, and BudgetError is raised.
     """
     if B < 1:
         raise DomainError("B must be >= 1")
     rows, d = pencil.int_rows
     cut = bezout_cutoff(rows, d)
-    if cut is not None:
-        # H(t)^d <= B / c at every member of height <= B; the box runs one
-        # past that root, the cutoff_m the reports give
-        m_max = iroot(math.floor(Fraction(B) / cut[0]), d) + 1
-        certified = True
-    else:
-        m_max = CENSUS_HARD_CAP
-        certified = False
+    if cut is None:
+        raise BudgetError("no coprime pair of coefficient rows exists, so no Bezout "
+                          "cutoff bounds the parameters of the census")
+    m_max, blocks = bounded_height_pairs(rows, d, cut[0], B)
     count = 0
     samples = []
-    for pairs in _primitive_pair_blocks(m_max, max(1, CHUNK_FIBERS // len(rows))):
-        H = _heights(rows, d, pairs)
-        # integer H: H <= B exactly when H <= floor(B), with no float cast
-        hits = np.flatnonzero(H <= math.floor(B))
-        count += len(hits)
-        for k in hits[:12 - len(samples)]:
-            samples.append({"t": tuple(pairs[k].tolist()), "H": int(H[k])})
-    return {"B": float(B), "count": count, "certified_complete": certified,
+    for pairs, H in blocks:
+        count += len(H)
+        for t, h in zip(pairs[:12 - len(samples)].tolist(), H.tolist()):
+            samples.append({"t": tuple(t), "H": int(h)})
+    return {"B": float(B), "count": count, "certified_complete": True,
             "cutoff_m": m_max, "family_degree": d,
-            "cutoff_constant": str(cut[0]) if cut else None,
-            "samples": samples}
+            "cutoff_constant": str(cut[0]), "samples": samples}
 
 
 def _totient(k: int) -> int:
@@ -662,7 +636,7 @@ def height_pairing_check(pencil: ConicPencil, n_samples: int = 200,
     pts = sorted(pts)
     xs, ys, hs = [], [], []
     res_max = 0.0
-    for (t1, t2), H in zip(pts, _heights(*pencil.int_rows, pts).tolist()):
+    for (t1, t2), H in zip(pts, binary_heights(*pencil.int_rows, pts).tolist()):
         ht = math.log(max(abs(t1), abs(t2)))
         resid = math.log(H) - 2 * ht
         xs.append(ht)

@@ -39,6 +39,11 @@ vanishes at the points and, f being squarefree, f does not divide it, so
 l*g is a witness at D + 1.  Full rank at D0 - 1 therefore rules out every
 lower degree.
 
+On a finite V with no D0, h is constant from Dc = deg f - 1 (1 with no f)
+on.  Full rank at Dc rules out Dc, every lower degree and every higher one:
+a linear form vanishing at no point maps the values of degree D injectively
+to degree D + 1.  DomainError then says that no auxiliary form exists.
+
 On a curve the scan computes that one rank first.  Here a curve is a line
 or a plane curve of degree e, with h(D) = eD - e(e-3)/2 once D >= e - 2,
 and by Bezout an irreducible one needs omega >= ceil(#points / e); for
@@ -229,7 +234,8 @@ def _kernel_witness(M: EvaluationMatrix, pivots, f):
     kernel = exact_kernel([[r[i] for i in std] for r in M.rows], len(std))
     if not kernel:
         return None
-    cand = _vec_to_poly(kernel[0], [M.monomials[i] for i in std], M.names)
+    cand = MultiPoly(M.names, {M.monomials[i]: c for i, c in zip(std, kernel[0])
+                               if c != 0}).rational_content()[1]
     if f is not None and f.divides(cand):
         raise AssertionError("a combination of standard monomials lies in (f)")
     return AuxiliaryForm(M.D, cand, {
@@ -249,13 +255,6 @@ def auxiliary_form(forms, names, points, D: int):
         raise DomainError("auxiliary_form needs points on the variety")
     pivots, f = _quotient(forms, names)
     return _kernel_witness(evaluation_matrix(points, D, names), pivots, f)
-
-
-def _vec_to_poly(v, monomials, names):
-    terms = {e: c for e, c in zip(monomials, v) if c != 0}
-    poly = MultiPoly(names, terms)
-    _, prim = poly.rational_content()
-    return prim
 
 
 def minimal_omega(forms, names, B,
@@ -302,10 +301,17 @@ def minimal_omega(forms, names, B,
     D0 = next((D for D in range(1, OMEGA_BUDGET + 1) if hilbert(D) > len(points)),
               OMEGA_BUDGET + 1)
     start, skipped = 1, []
-    curve = nvars - len(pivots) - (f is not None) == 2
-    if curve and 1 < D0 <= OMEGA_BUDGET and rank_at(D0 - 1) == hilbert(D0 - 1):
+    dim = nvars - len(pivots) - (f is not None)
+    if dim == 2 and 1 < D0 <= OMEGA_BUDGET and rank_at(D0 - 1) == hilbert(D0 - 1):
         # no witness at D0 - 1, hence none below it
         start, skipped = D0, [record(D, hilbert(D)) for D in range(1, D0)]
+    if dim == 1 and D0 > OMEGA_BUDGET:
+        # finitely many points: h(D) = deg f (or 1 with no f) from Dc on
+        Dc = f.total_degree() - 1 if f is not None else 1
+        if rank_at(Dc) == hilbert(Dc):
+            raise DomainError(f"V is finite and its {len(points)} points of height <= {B} "
+                              f"have full rank {hilbert(Dc)} from degree {Dc} on: every "
+                              "form through them vanishes on V, so none is auxiliary")
     for D in range(start, OMEGA_BUDGET + 1):
         if D < D0 and rank_at(D) == hilbert(D):
             # the rank over Q is at least the rank mod p, so no combination
@@ -428,7 +434,7 @@ def translation_search(f_affine: MultiPoly) -> dict:
     names = ("T1", "T2", "T3")
     f_affine = restrict(f_affine, names)
     delta = f_affine.total_degree()
-    F = homogenize(f_affine, names)
+    F = homogenize(f_affine)
     psi = cayley_hypersurface(F)
     parts = cayley_degree_parts(psi, 0)
     if delta not in parts or parts[delta].is_zero():

@@ -12,6 +12,10 @@ polynomials that the rest of the library consumes.  Binary forms are read as
 coefficient rows, leading coefficient first (``binary_row``); their gcd is
 read off the fraction-free echelon form of a Sylvester matrix, so it runs on
 the same integer elimination as the rest of the library.
+
+The integer-array layer of the fibre scan, line search, census and chord
+recount is here too: one int64 rule (``int_dtype``), evaluation on arrays
+(``int_eval``, ``binary_heights``) and the walk ``bounded_height_pairs``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import heapq
 import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 import numpy as np
 
@@ -30,6 +34,8 @@ from .linalg import _echelon, _integer_rows, cramer_vectors, det, exact_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# entries per block of the integer-array kernels; bounds their working memory
+CHUNK_FIBERS = 1 << 18
 
 
 def _heap_entry(exps):
@@ -646,40 +652,49 @@ def sylvester_rows(fc, gc):
             + [[0] * k + list(gc) + [0] * (m - 1 - k) for k in range(m)])
 
 
-def _absmax(a):
+def int_dtype(terms, X):
+    """The dtype that evaluates a sum of terms c * x^k, given as pairs (c, k),
+    exactly at integer entries |x| <= X: np.int64 when sum |c| * X^k < 2^62,
+    so no product or partial sum wraps, object (Python integers) otherwise."""
+    return np.int64 if sum(abs(int(c)) * X ** k for c, k in terms) < 1 << 62 else object
+
+
+def absmax(a):
     """Largest entry magnitude of an integer array (0 when it is empty)."""
     return max(-int(a.min()), int(a.max())) if a.size else 0
 
 
-def _primitive_pair_blocks(m_max: int, step: int):
-    """The primitive pairs (0, 1), then (t1, t2) with 1 <= t1 <= m_max,
-    |t2| <= m_max, t2 running fastest, as (N, 2) arrays of at most ``step``
-    pairs."""
-    yield np.array([(0, 1)])
-    width = 2 * m_max + 1
-    for start in range(0, m_max * width, step):
-        k = np.arange(start, min(m_max * width, start + step))
-        t1, t2 = 1 + k // width, k % width - m_max
-        keep = np.gcd(t1, t2) == 1
-        yield np.stack([t1[keep], t2[keep]], axis=1)
+def int_eval(poly: MultiPoly, arrays: dict):
+    """Exact values of a polynomial with integer coefficients on int64
+    arrays, in the dtype of ``int_dtype``.  A coefficient that is not an
+    integer raises DomainError: clear the denominators first."""
+    if any(c.denominator != 1 for c in poly.terms.values()):
+        raise DomainError(f"non-integer coefficient in {poly}")
+    shape = next(iter(arrays.values())).shape
+    X = max(map(absmax, arrays.values()), default=0)
+    dtype = int_dtype([(c, sum(e)) for e, c in poly.terms.items()], X)
+    if dtype is object:
+        arrays = {k: a.astype(object) for k, a in arrays.items()}
+    total = np.zeros(shape, dtype=dtype)
+    for e, c in poly.terms.items():
+        term = np.full(shape, int(c), dtype=dtype)
+        for name, ei in zip(poly.names, e):
+            for _ in range(ei):
+                term = term * arrays[name]
+        total += term
+    return total
 
 
-def _heights(rows, d: int, pairs):
+def binary_heights(rows, d: int, pairs):
     """Naive heights of the vectors of degree-d binary forms with integer
     coefficient ``rows`` (leading coefficient first, as for
     ``bezout_cutoff``) at the primitive integer pairs (t1, t2) of ``pairs``,
     as an array: max |v| // gcd(v) over the values v = rows @
-    (t1^d, t1^(d-1) t2, ..., t2^d).  A zero vector raises
-    PropertyViolationError.
-
-    The values are exact in int64 while (largest row sum of |c|) * T^d,
-    T the largest |t|, stays below 2^62; above that they run on Python
-    integers (object arrays), as in ``pointcount._np_eval``.
+    (t1^d, t1^(d-1) t2, ..., t2^d), in the dtype of ``int_dtype``.  A zero
+    vector raises PropertyViolationError.
     """
     pairs = np.asarray(pairs).reshape(-1, 2)
-    T = _absmax(pairs)
-    big = max(sum(map(abs, r)) for r in rows) * T ** d >= 1 << 62
-    dtype = object if big else np.int64
+    dtype = int_dtype([(max(sum(map(abs, r)) for r in rows), d)], absmax(pairs))
     t1, t2 = pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
     vals = np.array(rows, dtype=dtype) @ np.stack([t1 ** (d - i) * t2 ** i
                                                    for i in range(d + 1)])
@@ -740,6 +755,29 @@ def bezout_cutoff(rows, d: int):
         if best is None or worst < best[0]:
             best = (worst, (r1, r2))
     return None if best is None else (Fraction(1, best[0]), best[1])
+
+
+def bounded_height_pairs(rows, d: int, cut, B):
+    """(m_max, blocks): the parameters that cut = c from ``bezout_cutoff(rows,
+    d)`` certifies for height B.  A member of height <= B has c H(t)^d <= B,
+    so H(t) < m_max = iroot(floor(B / c), d) + 1.  ``blocks`` yields
+    (pairs, H) for the primitive (0, 1), then (t1, t2) with 1 <= t1 <= m_max,
+    |t2| <= m_max, t2 fastest, whose member has height H <= B."""
+    m_max = iroot(floor(Fraction(B) / cut), d) + 1
+    width, step = 2 * m_max + 1, max(1, CHUNK_FIBERS // len(rows))
+
+    def blocks():
+        # k < 0 gives t1 = 0 and t2 = 1..m_max, of which (0, 1) is primitive
+        for start in range(-m_max, m_max * width, step):
+            k = np.arange(start, min(m_max * width, start + step))
+            t1, t2 = 1 + k // width, k % width - m_max
+            pairs = np.stack([t1, t2], axis=1)[np.gcd(t1, t2) == 1]
+            H = binary_heights(rows, d, pairs)
+            # integer H: H <= B exactly when H <= floor(B), with no float cast
+            keep = H <= floor(B)
+            yield pairs[keep], H[keep]
+
+    return m_max, blocks()
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Fraction:

@@ -47,15 +47,13 @@ from .heights import normalize_primitive_vector
 from .hilbert_samuel import (ExternalConstants, bound_evaluator, bound_exponent,
                              gram_matrix_doubled)
 from .linalg import det
-from .multipoly import (MultiPoly, _absmax, _heights, _primitive_pair_blocks,
-                        bezout_cutoff, restrict)
+from .multipoly import (CHUNK_FIBERS, MultiPoly, absmax, bezout_cutoff,
+                        bounded_height_pairs, int_dtype, int_eval, restrict)
 
 SURFACE_B_BUDGET = 512
 CURVE_B_BUDGET = 10_000
 # height up to which conic_points looks for the base point of its chords
 BASE_SEARCH = 32
-# fibers per prefix chunk; bounds the scan's working memory
-CHUNK_FIBERS = 1 << 18
 # moduli of the local-solubility sieve; 9 rather than 3, since cubes mod 9
 # fall in 3 classes and mod 3 in all of them
 SIEVE_MODULI = (9, 7, 13, 19, 5, 11)
@@ -71,44 +69,11 @@ class CountResult:
     complete: bool
     note: str = ""
 
-    def heights(self):
-        return [max(abs(c) for c in p) for p in self.points]
-
 
 def _check_budget(nvars: int, B: float, budget: float | None):
     cap = budget if budget is not None else (SURFACE_B_BUDGET if nvars >= 4 else CURVE_B_BUDGET)
     if B > cap:
         raise BudgetError(f"B={B} exceeds enumeration budget {cap}")
-
-
-def _np_eval(poly: MultiPoly, arrays: dict):
-    """Evaluate a polynomial with integer coefficients on int64 arrays.
-
-    When sum |c| * X^deg over the terms, X the largest entry magnitude,
-    reaches 2^62, a term or a partial sum could wrap in int64, so the
-    evaluation runs on Python integers (object arrays) instead.  A
-    coefficient that is not an integer raises DomainError: clear the
-    denominators first.
-    """
-    if any(c.denominator != 1 for c in poly.terms.values()):
-        raise DomainError(f"non-integer coefficient in {poly}")
-    shape = next(iter(arrays.values())).shape
-    X = max(map(_absmax, arrays.values()), default=0)
-    if sum(abs(int(c)) * X ** sum(e) for e, c in poly.terms.items()) < 1 << 62:
-        dtype = np.int64
-    else:
-        dtype = object
-        arrays = {k: a.astype(object) for k, a in arrays.items()}
-    total = np.zeros(shape, dtype=dtype)
-    for e, c in poly.terms.items():
-        term = np.full(shape, int(c), dtype=dtype)
-        for name, ei in zip(poly.names, e):
-            if ei:
-                a = arrays[name]
-                for _ in range(ei):
-                    term = term * a
-        total += term
-    return total
 
 
 def _coeff_polys(form: MultiPoly, var: str):
@@ -138,14 +103,14 @@ def _vanish(forms, arrays):
     """Boolean mask of the entries where every form evaluates to 0 exactly."""
     ok = np.ones(len(next(iter(arrays.values()))), dtype=bool)
     for f in forms:
-        ok &= _np_eval(f, arrays) == 0
+        ok &= int_eval(f, arrays) == 0
     return ok
 
 
 def _isqrt(D):
     """Elementwise floor square root of a nonnegative integer array: a float
-    sqrt corrected by one integer step on each side in int64 (entries below
-    2^62), math.isqrt on Python integers."""
+    sqrt corrected by one integer step on each side in int64 (entries that
+    ``int_dtype`` keeps there), math.isqrt on Python integers."""
     if D.dtype == object:
         return np.array([math.isqrt(int(d)) for d in D], dtype=object)
     s = np.sqrt(D.astype(np.float64)).astype(np.int64)
@@ -169,13 +134,14 @@ def _monotone_roots(c, xcap):
     integer pieces [-xcap, a1], [a1 + 1, a2] and [a2 + 1, xcap], on each of
     which the fiber is strictly monotone, so a piece holds at most one root.
     A lower-bound integer bisection finds it and an exact zero proves it.
-    Arithmetic runs in int64 below the 2^62 rule of _np_eval, on Python
-    integers above it.
+    The dtypes come from ``int_dtype``: for the critical points that of
+    4 M^2, M the largest |c1|, |c2|, |c3|, which bounds the discriminant,
+    and for the bisection that of the fiber polynomials at |x| <= xcap + 1.
     """
     lead = np.where(c[3] != 0, c[3], c[2])
     sign = np.where(lead < 0, -1, 1)
     c = [a * sign for a in c]   # same roots, lead > 0
-    dt = np.int64 if 4 * max(map(_absmax, c[1:])) ** 2 < 1 << 62 else object
+    dt = int_dtype([(4, 2)], max(map(absmax, c[1:])))
     c1, c2, c3 = (a.astype(dt, copy=False) for a in c[1:])
     cubic = c3 != 0
     # p' = 3 c3 x^2 + 2 c2 x + c1 has roots (-c2 +- sqrt(D)) / (3 c3), or
@@ -191,8 +157,8 @@ def _monotone_roots(c, xcap):
     a1, a2 = (np.clip(np.where(cubic & ~two, xcap, a), -xcap - 1, xcap).astype(np.int64)
               for a in (a1, a2))
 
-    bound = sum(_absmax(a) * (xcap + 1) ** k for k, a in enumerate(c))
-    c = [a.astype(np.int64 if bound < 1 << 62 else object, copy=False) for a in c]
+    dt = int_dtype([(absmax(a), k) for k, a in enumerate(c)], xcap + 1)
+    c = [a.astype(dt, copy=False) for a in c]
     n = len(a1)
     fib = np.tile(np.arange(n), 3)
     lo = np.concatenate([np.full(n, -xcap), a1 + 1, a2 + 1])
@@ -224,7 +190,7 @@ def _solve_fibers(coeffs, rest, var, prefix_arrays, xcap):
     (fiber_index_array, x_array), each solution once, plus the fibers where
     the solve form vanishes identically.  The solve form holds exactly at
     every returned x; only the forms in ``rest`` are evaluated there."""
-    c = [_np_eval(cp, prefix_arrays) for cp in coeffs]
+    c = [int_eval(cp, prefix_arrays) for cp in coeffs]
     c += [np.zeros_like(c[0])] * (4 - len(c))
     c0, c1, c2, c3 = c
     curved = (c3 != 0) | (c2 != 0)
@@ -337,7 +303,7 @@ def _sieve_tables(coeffs, others, nfib):
         return []
     M = max(moduli)
     grid = dict(zip(others, (g.ravel() for g in np.indices((M,) * k))))
-    c = [_np_eval(cp, grid).reshape((M,) * k) for cp in coeffs]
+    c = [int_eval(cp, grid).reshape((M,) * k) for cp in coeffs]
     c += [np.zeros_like(c[0])] * (4 - len(c))
     tables = []
     for m in moduli:
@@ -555,10 +521,10 @@ def _conic_points_parameterized(Q, ell, B):
     if best is None:
         return "no coprime pair of coordinates"
     cut, rows = best
-    m_max = math.isqrt(int(B / cut)) + 1
+    _, blocks = bounded_height_pairs(rows, 2, cut, B)
     pts = set()
-    for pairs in _primitive_pair_blocks(m_max, CHUNK_FIBERS // len(rows)):
-        for s, u in pairs[_heights(rows, 2, pairs) <= math.floor(B)].tolist():
+    for pairs, _ in blocks:
+        for s, u in pairs.tolist():
             X = [r[0] * s * s + r[1] * s * u + r[2] * u * u for r in rows]
             pts.add(normalize_primitive_vector(X)[0])
     return tuple(sorted(pts))
@@ -567,9 +533,9 @@ def _conic_points_parameterized(Q, ell, B):
 # --- experiments ------------------------------------------------------------------------
 
 
-def homogenize(f: MultiPoly, names_affine=("T1", "T2", "T3")) -> MultiPoly:
-    """Projective closure form in T0..T3 of an affine polynomial."""
-    f = restrict(f, names_affine)
+def homogenize(f: MultiPoly) -> MultiPoly:
+    """Projective closure form in T0..T3 of an affine polynomial in T1..T3."""
+    f = restrict(f, T4[1:])
     d = f.total_degree()
     out = {}
     for e, c in f.terms.items():
@@ -586,7 +552,7 @@ def points_on_lines(points, lines):
     on = np.zeros(len(points), dtype=bool)
     for rl in lines:
         u, v = (g.rational_content()[1] for g in (rl.line.u, rl.line.v))
-        on |= (_np_eval(u, arrays) == 0) & (_np_eval(v, arrays) == 0)
+        on |= _vanish([u, v], arrays)
     return {p for p, hit in zip(points, on.tolist()) if hit}
 
 

@@ -80,6 +80,13 @@ def test_exit_code_budget_error(capsys, data_dir):
                  "--B", "100000"]) == 2
 
 
+def test_exit_code_finite_variety_without_auxiliary_form(capsys, tmp_path):
+    point = tmp_path / "point.txt"
+    point.write_text("T1\nT2\n")
+    assert main(["aux", "--curve", str(point), "--B", "3"]) == 3
+    assert "none is auxiliary" in capsys.readouterr().err
+
+
 def test_exit_code_property_violation(capsys, tmp_path):
     ruled = tmp_path / "ruled.txt"
     ruled.write_text("T0^2*T2 + T1^2*T3\n")

@@ -1,12 +1,13 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 
-from cubiconics import cubic_conics
+from cubiconics import cubic_conics, multipoly
 from cubiconics.cayley import (T4, TPAR, cayley_plane_curve,
                                cayley_plane_curve_macaulay)
 from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
@@ -18,7 +19,7 @@ from cubiconics.cubic_conics import (CubicSurface, _rref_line_candidates,
                                      line_in_forms, residual_conic,
                                      specialized_height)
 from cubiconics.errors import BudgetError, DomainError, PropertyViolationError
-from cubiconics.multipoly import MultiPoly, bezout_cutoff, gcd_binary_forms
+from cubiconics.multipoly import MultiPoly, bezout_cutoff, binary_heights, gcd_binary_forms
 
 P3C = ("T0", "T1", "T2")
 
@@ -101,7 +102,10 @@ def test_line_in_forms_needs_degree_plus_one_zeros():
             g = X * (X - a * Y) * (X - b * Y)
             assert not line_in_forms(block, [g])[0]
             assert line_in_forms(block, [g * MultiPoly.variable("T0", T4)])[0]
-    # rows that could wrap int64 in the spanning points are refused
+    # rows that could wrap int64 in the spanning points are refused; one
+    # below, the scaled rows span the same line
+    for h in (g, g * MultiPoly.variable("T0", T4)):
+        assert line_in_forms(block * ((1 << 28) - 1), [h])[0] == line_in_forms(block, [h])[0]
     with pytest.raises(DomainError):
         line_in_forms(block << 28, [g])
 
@@ -339,14 +343,14 @@ def test_heights_match_python_on_both_sides_of_the_int64_switch():
     ]
     for rows, tmax, dtype in cases:
         pairs = _random_primitive_pairs(rng, tmax, 40) + [(1, 0), (0, 1), (tmax, 1 - tmax)]
-        H = cubic_conics._heights(rows, d, pairs)
+        H = binary_heights(rows, d, pairs)
         assert H.dtype == dtype
         assert H.tolist() == [_height_by_python(rows, d, t1, t2) for t1, t2 in pairs]
     # the switch itself: (row sum of |c|) * T^d just below and at 2^62
     T = 2 ** 20
     for s, dtype in ((2 ** 2 - 1, np.int64), (2 ** 2, object)):
         rows = [[s, 0, 0, 0], [0, 0, 0, 1]]
-        H = cubic_conics._heights(rows, d, [(T, 1), (T, -T + 1)])
+        H = binary_heights(rows, d, [(T, 1), (T, -T + 1)])
         assert H.dtype == dtype
         assert H.tolist() == [_height_by_python(rows, d, t1, t2)
                               for t1, t2 in [(T, 1), (T, -T + 1)]]
@@ -354,9 +358,9 @@ def test_heights_match_python_on_both_sides_of_the_int64_switch():
 
 def test_heights_reject_a_vanishing_member():
     rows = [[1, -1, 0], [2, -2, 0]]  # t1 (t1 - t2) and twice it
-    assert cubic_conics._heights(rows, 2, [(1, 2)]).tolist() == [2]
+    assert binary_heights(rows, 2, [(1, 2)]).tolist() == [2]
     with pytest.raises(PropertyViolationError, match=r"t = \(1, 1\)"):
-        cubic_conics._heights(rows, 2, [(1, 2), (1, 1), (0, 1)])
+        binary_heights(rows, 2, [(1, 2), (1, 1), (0, 1)])
 
 
 def test_census_blocks_split_the_pair_range(fermat_pencil, monkeypatch):
@@ -368,10 +372,30 @@ def test_census_blocks_split_the_pair_range(fermat_pencil, monkeypatch):
     hits = [(t, H) for t in pairs if (H := _height_by_python(rows, d, *t)) <= 60]
     assert whole["count"] == len(hits)
     assert whole["samples"] == [{"t": t, "H": H} for t, H in hits[:12]]
-    # blocks of 7 and 10 parameters, so block edges fall inside t1 rows
+    # blocks of 7 and 10 parameters, so block edges fall inside t1 rows;
+    # the walk reads the block size and the heights from multipoly
+    sizes = []
+
+    def recorded(rows, d, pairs):
+        sizes.append(len(pairs))
+        return binary_heights(rows, d, pairs)
+
+    monkeypatch.setattr(multipoly, "binary_heights", recorded)
     for block in (7, 10):
-        monkeypatch.setattr(cubic_conics, "CHUNK_FIBERS", block * len(rows))
+        sizes.clear()
+        monkeypatch.setattr(multipoly, "CHUNK_FIBERS", block * len(rows))
         assert conic_census(fermat_pencil, 60) == whole
+        assert len(sizes) > 1 and max(sizes) <= block
+
+
+def test_census_without_coprime_rows_fails_loudly():
+    # t1 t2, t1 (t1 + t2), t2 (t1 + t2): content 1, but every pair shares a
+    # factor, so no Bezout cutoff bounds the parameters
+    pencil = types.SimpleNamespace(int_rows=([[0, 1, 0], [1, 1, 0], [0, 1, 1]], 2))
+    assert gcd_binary_forms([MultiPoly.parse(g, TPAR) for g in
+                             ("t1*t2", "t1^2 + t1*t2", "t1*t2 + t2^2")], TPAR).total_degree() == 0
+    with pytest.raises(BudgetError, match="no coprime pair"):
+        conic_census(pencil, 10)
 
 
 def test_height_pairing_refuses_more_samples_than_classes(fermat_pencil):

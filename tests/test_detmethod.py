@@ -310,14 +310,35 @@ def test_small_prime_scan_matches_large_prime(data_dir, monkeypatch):
     assert any(probes) and not all(probes) and exhausted
 
 
-def test_scan_without_hilbert_bound_fails_loudly(monkeypatch):
-    # one standard monomial at every degree for one point: no degree has
-    # more standard columns than points, so no witness is ever certain
+def test_scan_without_hilbert_bound_fails_loudly(data_dir, monkeypatch):
+    # the conic's 88 points of height <= 64 need degree 44 > 20, so no
+    # degree in the budget has more standard columns than points
+    forms, names = load_forms(data_dir / "conic.txt")
     monkeypatch.setattr(detmethod, "OMEGA_BUDGET", 20)
     with pytest.raises(BudgetError) as err:
-        minimal_omega([MultiPoly.parse("T1", P2), MultiPoly.parse("T2", P2)], P2, 3)
+        minimal_omega(forms, names, 64)
     assert [rec["D"] for rec in err.value.partial] == list(range(1, 21))
     assert all(rec["dimker_p"] == rec["ideal_dim"] for rec in err.value.partial)
+
+
+@pytest.mark.parametrize("texts", [("T1", "T2"), ("T2", "T0^2 - T1^2")])
+def test_finite_variety_spanned_by_its_points_is_refused(monkeypatch, texts):
+    # h(D) stops growing at #points, so no degree has a witness; one full
+    # rank proves it for all of them
+    calls = _count_ranks(monkeypatch)
+    with pytest.raises(DomainError, match="none is auxiliary"):
+        minimal_omega([MultiPoly.parse(t, P2) for t in texts], P2, 3)
+    assert len(calls) == 1
+
+
+def test_finite_variety_with_deficient_rank_scans_on(monkeypatch):
+    # mod 2 the points (1, 1, 0) and (1, -1, 0) of T0^2 - T1^2 look
+    # dependent (det [[1, 1], [1, -1]] = -2), so the scan runs on
+    monkeypatch.setattr(detmethod, "_ROW_PRIME", 2)
+    monkeypatch.setattr(detmethod, "OMEGA_BUDGET", 5)
+    with pytest.raises(BudgetError) as err:
+        minimal_omega([MultiPoly.parse(t, P2) for t in ("T2", "T0^2 - T1^2")], P2, 3)
+    assert [rec["note"] for rec in err.value.partial] == ["witness search exhausted over Q"] * 5
 
 
 def _multipoly_product_of_lines(points, D):

@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank
-from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, iroot,
-                                  essential_variable_count, gcd_binary_forms,
+from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, int_dtype, int_eval,
+                                  iroot, essential_variable_count, gcd_binary_forms,
                                   macaulay_resultant, restrict, sylvester_resultant,
                                   sylvester_rows)
 from test_linalg import fraction_solve
@@ -434,3 +435,18 @@ def test_iroot_is_the_floor_of_the_root():
                 + [rng.randrange(10 ** 40) for _ in range(200)]:
             r = iroot(n, d)
             assert r ** d <= n < (r + 1) ** d
+
+
+def test_int_eval_exact_on_both_sides_of_the_int64_switch():
+    # 3 T1^3 - T1 T2 + e at |T| <= X = 2^20: sum |c| X^k = 3 2^60 + 2^40 + e,
+    # one below 2^62 and then 2^62 itself
+    X = 1 << 20
+    names = ("T1", "T2")
+    x = np.array([X, -X, X - 1, 0, 7, -X], dtype=np.int64)
+    y = np.array([-X, X, 1, X, -2, -X], dtype=np.int64)
+    for e, dtype in (((1 << 60) - (1 << 40) - 1, np.int64), ((1 << 60) - (1 << 40), object)):
+        assert int_dtype([(3, 3), (-1, 2), (e, 0)], X) is dtype
+        v = int_eval(MultiPoly.parse(f"3*T1^3 - T1*T2 + {e}", names), {"T1": x, "T2": y})
+        assert v.dtype == dtype
+        assert v.tolist() == [3 * a ** 3 - a * b + e for a, b in zip(x.tolist(), y.tolist())]
+    assert max(v.tolist()) == 1 << 62

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import os
 import subprocess
 import sys
@@ -15,12 +16,12 @@ from cubiconics import pointcount
 from cubiconics.cayley import T4
 from cubiconics.cubic_conics import find_lines
 from cubiconics.errors import BudgetError, DomainError
-from cubiconics.multipoly import MultiPoly
+from cubiconics.multipoly import MultiPoly, int_dtype, int_eval
 from cubiconics.pointcount import (conic_points, enumerate_affine,
                                    enumerate_projective, homogenize,
                                    integral_conics_experiment,
                                    points_on_conics_experiment,
-                                   points_on_lines, _np_eval)
+                                   points_on_lines)
 
 P2 = ("T0", "T1", "T2")
 A3 = ("T1", "T2", "T3")
@@ -160,9 +161,12 @@ def test_sieve_matches_brute(name, monkeypatch):
     monkeypatch.setattr(pointcount, "CHUNK_FIBERS", 15 ** 2)
     monkeypatch.setattr(pointcount, "SIEVE_BATCH", 100)
     B = 7
+    batches = list(pointcount._sieved_prefixes(tables, 3, B, half=True))
+    # the half box of 1,687 prefixes is cut into chunks of one outer value
+    assert len(batches) > 1 and max(len(p[0]) for p in batches) <= 15 ** 2
     if tables:
         # a sieve that lets every fiber through would pass the equalities below
-        kept = sum(len(p[0]) for p in pointcount._sieved_prefixes(tables, 3, B, half=True))
+        kept = sum(len(p[0]) for p in batches)
         assert kept < ((2 * B + 1) ** 3 - 1) // 2
     r = enumerate_projective(forms, T4, B, solve_var=var)
     assert r.points == tuple(sorted(brute_projective(forms, T4, B)))
@@ -333,6 +337,52 @@ def test_projective_needs_homogeneous_forms():
                               MultiPoly.parse("T2^2 - T0", P2)], P2, 3)
 
 
+def _expand(k, roots):
+    """Coefficients, lowest first and padded to 4, of k * prod (x - r)."""
+    c = [k]
+    for r in roots:
+        c = [a - r * b for a, b in zip([0] + c, c + [0])]
+    return c + [0] * (4 - len(c))
+
+
+def _roots_by_python(c, xcap):
+    return sorted((i, x) for i, cs in enumerate(zip(*(a.tolist() for a in c)))
+                  for x in range(-xcap, xcap + 1)
+                  if sum(ck * x ** k for k, ck in enumerate(cs)) == 0)
+
+
+def test_monotone_roots_on_both_sides_of_each_int64_switch(monkeypatch):
+    # cubics and quadratics with integer roots in and out of the box, then
+    # one fiber that puts a rule one below 2^62 or at it: x^3 + c0 the
+    # bisection's, sum |c_k| (xcap + 1)^k, and x^3 + M x the critical
+    # points', 4 M^2
+    rng = random.Random(5)
+    xcap = 40
+    small = [_expand(rng.choice((-3, -2, -1, 1, 2, 3)),
+                     [rng.randint(-45, 45) for _ in range(rng.choice((2, 3)))])
+             for _ in range(30)]
+    rest = sum(max(abs(f[k]) for f in small) * (xcap + 1) ** k for k in (1, 2, 3))
+    cases = [([], [np.int64, np.int64]),
+             ([[-((1 << 62) - 1 - rest), 0, 0, 1]], [np.int64, np.int64]),
+             ([[-((1 << 62) - rest), 0, 0, 1]], [np.int64, object]),
+             ([[0, (1 << 30) - 1, 0, 1]], [np.int64, np.int64]),
+             ([[0, 1 << 30, 0, 1]], [object, np.int64])]
+    seen = []
+
+    def recorded(terms, X):
+        seen.append(int_dtype(terms, X))
+        return seen[-1]
+
+    monkeypatch.setattr(pointcount, "int_dtype", recorded)
+    for extra, dtypes in cases:
+        c = [np.array(col, dtype=np.int64) for col in zip(*(small + extra))]
+        seen.clear()
+        fib, xs = pointcount._monotone_roots(c, xcap)
+        assert seen == dtypes
+        want = _roots_by_python(c, xcap)
+        assert sorted(zip(fib.tolist(), xs.tolist())) == want and len(want) > 30
+
+
 def test_large_coefficients_do_not_wrap():
     # 2^62 * T0^3 wraps to 0 in int64 at every even T0, which would turn
     # (2, 1, 1) and its kin into false points of T1^3 - T2^3
@@ -394,7 +444,7 @@ def test_affine_fraction_coefficients():
         assert r.complete and set(r.points) == want and r.count == len(want) > 0
     assert len(want) == 12
     with pytest.raises(DomainError):
-        _np_eval(MultiPoly.parse("1/2*T1", names),
+        int_eval(MultiPoly.parse("1/2*T1", names),
                  {n: np.arange(3, dtype=np.int64) for n in names})
 
 
