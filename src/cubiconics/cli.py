@@ -4,7 +4,7 @@ Commands wire the library's pipelines to polynomial files (one form per
 line, '#' comments) and emit schema-versioned JSON reports, with CSV as a
 convenience export.  Exit codes: 0 success, 1 a structural property was
 falsified on the instance (the most important signal), 2 a budget was
-exceeded, 3 bad configuration or input.
+exceeded, 3 bad configuration or input, 4 an internal check failed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from . import cubic_conics as cc
 from .cayley import (T4, cayley_degree_parts, cayley_hypersurface,
                      cayley_plane_curve)
 from .detmethod import minimal_omega
-from .errors import BudgetError, ConfigError, PropertyViolationError
+from .errors import (BudgetError, ConfigError, MacaulayDegenerateError, NonDivisibleError,
+                     PropertyViolationError)
 from .exactarith import bertrand_prime, mertens_check, theta_psi_phi
 from .heights import height_comparison_audit, poly_height
 from .hilbert_samuel import (ExternalConstants, geometric_hs_window, local_hs,
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
     except PropertyViolationError as exc:
         sys.stderr.write(f"property violation: {exc}\n")
         return 1
+    except (AssertionError, NonDivisibleError, MacaulayDegenerateError) as exc:
+        sys.stderr.write(f"internal check failed: {type(exc).__name__}: {exc}\n")
+        return 4
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 2

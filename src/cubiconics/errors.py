@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Exit-code mapping used by the command line driver:
-  PropertyViolationError -> 1, BudgetError -> 2, ConfigError -> 3.
+  PropertyViolationError -> 1, BudgetError -> 2, ConfigError -> 3, and a
+  failed internal check (AssertionError, NonDivisibleError, MacaulayDegenerateError) -> 4.
 """
 
 

@@ -12,7 +12,7 @@ Kernels and solutions come from one back substitution in integers
 (``cramer_vectors``): with Delta the last pivot of the echelon form, a
 minor of full rank, it solves for y = Delta * x, which is integral by
 Cramer's rule, so every division is exact.  Fractions appear only in the
-returned vectors.
+returned vectors.  ``int_dtype`` is the one int64 rule of the array kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ import numpy as np
 from .errors import DomainError
 
 _ROW_PRIME = (1 << 30) - 35  # prime below 2^30: products fit int64
+
+
+def int_dtype(terms, X):
+    """The dtype that evaluates a sum of terms c * x^k, given as pairs (c, k),
+    exactly at integer entries |x| <= X: np.int64 when sum |c| * X^k < 2^62,
+    so no product or partial sum wraps, object (Python integers) otherwise."""
+    return np.int64 if sum(abs(int(c)) * X ** k for c, k in terms) < 1 << 62 else object
 
 
 def _integer_rows(rows):
@@ -190,13 +197,12 @@ def rank_mod_p(rows, p: int):
     """(rank, pivot columns, free columns) of an integer matrix modulo the
     prime p.
 
-    int64 arithmetic is exact while (p-1)^2 < 2^63; larger primes, such as
-    the prime factors of an arbitrary minor, use Python integers.
+    Residues are below p, so every product and difference of them is below
+    p^2: the dtype is ``int_dtype([(1, 2)], p)``, int64 for p < 2^31.
     """
-    small = (p - 1) ** 2 < 2 ** 63
+    dtype = int_dtype([(1, 2)], p)
     m = np.asarray(rows)  # int64, or object when an entry overflows int64
-    m = (m if small else m.astype(object)) % p
-    m = m.astype(np.int64 if small else object, copy=False)
+    m = ((m if dtype is np.int64 else m.astype(object)) % p).astype(dtype, copy=False)
     nrows, ncols = m.shape
     rank = 0
     pivots = []

@@ -14,23 +14,22 @@ read off the fraction-free echelon form of a Sylvester matrix, so it runs on
 the same integer elimination as the rest of the library.
 
 The integer-array layer of the fibre scan, line search, census and chord
-recount is here too: one int64 rule (``int_dtype``), evaluation on arrays
-(``int_eval``, ``binary_heights``) and the walk ``bounded_height_pairs``.
+recount is here too, in the dtype of ``linalg.int_dtype``: ``int_eval``,
+``binary_heights``, the batched ``bezout_cutoff`` and ``bounded_height_pairs``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, gcd, isqrt, lcm, prod
 
 import numpy as np
 
 from .errors import (DomainError, MacaulayDegenerateError, NonDivisibleError,
                      PropertyViolationError)
-from .linalg import _echelon, _integer_rows, cramer_vectors, det, exact_kernel
+from .linalg import _echelon, _integer_rows, det, exact_kernel, int_dtype
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -652,13 +651,6 @@ def sylvester_rows(fc, gc):
             + [[0] * k + list(gc) + [0] * (m - 1 - k) for k in range(m)])
 
 
-def int_dtype(terms, X):
-    """The dtype that evaluates a sum of terms c * x^k, given as pairs (c, k),
-    exactly at integer entries |x| <= X: np.int64 when sum |c| * X^k < 2^62,
-    so no product or partial sum wraps, object (Python integers) otherwise."""
-    return np.int64 if sum(abs(int(c)) * X ** k for c, k in terms) < 1 << 62 else object
-
-
 def absmax(a):
     """Largest entry magnitude of an integer array (0 when it is empty)."""
     return max(-int(a.min()), int(a.max())) if a.size else 0
@@ -730,31 +722,58 @@ def bezout_cutoff(rows, d: int):
     A' q1 + B' q2 = D t2^(2d-1) with integer A, B, A', B' of degree d - 1
     over one common multiplier D.  At primitive t they bound the content of
     q(t) by |D| and give max(|q1(t)|, |q2(t)|) >= H(t)^d * |D| / w, w the
-    largest coefficient sum of |A| + |B| and |A'| + |B'|, so c = 1 / w.  The
-    best pair is kept.
+    largest coefficient sum of |A| + |B| and |A'| + |B'|, so c = 1 / w.
 
-    For each pair, one fraction-free echelon of the transposed Sylvester
-    matrix S augmented with e_0 and e_(n-1) gives both vectors at once: its
-    last pivot is Delta = +-det S, and ``linalg.cramer_vectors`` gives
-    y = +-Delta x in integers.  The least common multiplier is
-    D = |Delta| / g, g the gcd of Delta and all of y, so
-    w = max(sum |y|) / g.  A pivot outside the first n columns, or fewer than
-    n pivots, means det S = 0: the pair is not coprime.
+    The first pair of least w in combinations order is kept, and its
+    identities are checked in Python integers (AssertionError if they
+    fail).  Zero rows and repeats of an earlier row are dropped: w is
+    symmetric, so a pair with a repeat has the w of an earlier pair of
+    first occurrences or is not coprime.  All pairs' transposed Sylvester
+    matrices S, with e_0 and e_(n-1) appended (n = 2d), form one
+    (P, n, n + 2) array, and one fraction-free Gauss-Jordan elimination
+    (Bareiss's update applied to every other row), pivoting on the first
+    nonzero entry of each column, turns each into [Delta I | X] with
+    S^T X = Delta [e_0 | e_(n-1)]: the columns of X are (A, B) and
+    (A', B') over D = Delta.  A column without a pivot means det S = 0, and
+    the pair leaves the batch.  The pivot order does not change w: Delta =
+    +-det S, and max(sum |X|) / gcd(X, Delta) is the same for every
+    integral multiple of the least (A, B, A', B', D).  Each entry is a
+    minor of [S^T | e_0 | e_(n-1)], so at most H = (|r1|_2 |r2|_2)^d by
+    Hadamard's bound on its columns (the rows of S and two unit vectors),
+    and each update, a difference of two products of entries, is below
+    2 H^2: the batch runs in the dtype of ``int_dtype([(2, 2)], H)``, H
+    taken exactly from the squared norms and largest over the batch.
     """
-    n = 2 * d
-    ends = [(int(i == 0), int(i == n - 1)) for i in range(n)]
-    best = None
-    for r1, r2 in itertools.combinations([r for r in rows if any(r)], 2):
-        cols = zip(*sylvester_rows(r1, r2))
-        ech, pivots, _ = _echelon([list(c) + list(b) for c, b in zip(cols, ends)], n + 2)
-        if pivots != list(range(n)):
-            continue  # resultant vanished: pair not coprime
-        # y[n] or y[n + 1] is Delta, so the gcd of all entries is g
-        _, ys = cramer_vectors(ech, pivots, (n, n + 1), n + 2)
-        worst = max(sum(map(abs, y[:n])) for y in ys) // gcd(*ys[0], *ys[1])
-        if best is None or worst < best[0]:
-            best = (worst, (r1, r2))
-    return None if best is None else (Fraction(1, best[0]), best[1])
+    seen = {}
+    live = [seen.setdefault(tuple(r), r) for r in rows if any(r) and tuple(r) not in seen]
+    n, (first, second) = 2 * d, np.triu_indices(len(live), 1)  # combinations order
+    norms = sorted(sum(int(x) ** 2 for x in r) for r in live)[-2:]
+    dtype = int_dtype([(2, 2)], isqrt(prod(norms) ** d - 1) + 1)
+    # M[p, c, k] = S[k, c] = r1[c - k], M[p, c, d + k] = r2[c - k], 0 for c - k outside 0..d
+    off = np.arange(n)[:, None] - np.arange(d)
+    R = np.array([[int(x) for x in r] + [0] * d for r in live], dtype).reshape(-1, n + 1)
+    M, pairs = np.zeros((len(first), n, n + 2), dtype), np.arange(len(first))
+    M[:, :, :d], M[:, :, d:n] = R[first][:, off], R[second][:, off]
+    M[:, 0, n] = M[:, n - 1, n + 1] = 1
+    for k in range(n):
+        keep = (M[:, k:, k] != 0).any(axis=1)  # no pivot: det S = 0
+        M, pairs = M[keep], pairs[keep]
+        at, piv = np.arange(len(M)), k + (M[:, k:, k] != 0).argmax(axis=1)
+        M[at, k], M[at, piv] = M[at, piv], M[at, k]
+        prev, other = M[:, k - 1, k - 1, None, None] if k else 1, np.arange(n) != k
+        M[:, other, k + 1:] = (M[:, other, k + 1:] * M[:, k, k, None, None]
+                               - M[:, other, k, None] * M[:, k, None, k + 1:]) // prev
+    if not len(M):
+        return None
+    D, X = M[:, n - 1, n - 1], M[:, :, n:]  # S^T X = D [e_0 | e_(n-1)]
+    worst = abs(X).sum(axis=1).max(axis=1) // np.gcd(np.gcd.reduce(X, axis=(1, 2)), D)
+    w = int(np.argmin(worst))
+    r1, r2 = live[first[pairs[w]]], live[second[pairs[w]]]
+    (x1, x2), S, D = X[w].T.tolist(), sylvester_rows(r1, r2), int(D[w])
+    if not D or any(sum(a * s[c] for a, s in zip(x, S)) != D * (c == j * (n - 1))
+                    for j, x in enumerate((x1, x2)) for c in range(n)):
+        raise AssertionError(f"Bezout identities fail for the cutoff pair {r1}, {r2}")
+    return Fraction(1, max(sum(map(abs, x)) for x in (x1, x2)) // gcd(D, *x1, *x2)), (r1, r2)
 
 
 def bounded_height_pairs(rows, d: int, cut, B):

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from cubiconics import cubic_conics
 from cubiconics.cli import load_forms, main
-from cubiconics.errors import ConfigError
+from cubiconics.errors import ConfigError, MacaulayDegenerateError, NonDivisibleError
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +92,21 @@ def test_exit_code_property_violation(capsys, tmp_path):
     ruled = tmp_path / "ruled.txt"
     ruled.write_text("T0^2*T2 + T1^2*T3\n")
     assert main(["verify", "--surface", str(ruled), "--B", "4"]) == 1
+
+
+@pytest.mark.parametrize("error", [AssertionError, NonDivisibleError, MacaulayDegenerateError])
+def test_exit_code_internal_check_failed(capsys, data_dir, monkeypatch, error):
+    # a failed internal check is not a falsified property: exit code 4, not 1
+    def failing_cutoff(rows, d):
+        raise error("Bezout identities fail for the cutoff pair")
+
+    monkeypatch.setattr(cubic_conics, "bezout_cutoff", failing_cutoff)
+    assert main(["census", "--surface", str(data_dir / "fermat.cubic"),
+                 "--line-height", "1", "--B", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"internal check failed: {error.__name__}: "
+                            "Bezout identities fail for the cutoff pair\n")
 
 
 def test_report_files_and_csv(capsys, data_dir, tmp_path):

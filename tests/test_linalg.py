@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubiconics import linalg
 from cubiconics.errors import DomainError
 from cubiconics.linalg import (_ROW_PRIME, _integer_rows, _kernel_basis, exact_kernel,
                               rank, rank_mod_p, solve)
 
-# 2^31 + 11 still runs in int64; (2^61 - 2)^2 overflows int64, so the
-# Mersenne prime 2^61 - 1 takes the Python-integer path
+# both above 2^31, so both take the Python-integer path of ``int_dtype``
 LARGE_PRIMES = (2147483659, 2 ** 61 - 1)
 
 
@@ -27,6 +27,45 @@ def test_rank_mod_large_prime_matches_exact_rank():
         # a minor divisible by p drops the rank modulo p only
         assert rank_mod_p([[1, 0], [0, 3 * p]], p)[0] == 1
         assert rank([[1, 0], [0, 3 * p]], 2) == 2
+
+
+def _rank_mod_p_by_python(rows, p):
+    """Rank modulo p by plain Gaussian elimination on Python integers."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] * inv
+            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_on_both_sides_of_the_int64_switch(monkeypatch):
+    # residues below p multiply to below p^2, which stays below 2^62 for
+    # the largest prime below 2^31 and not for the smallest one above it
+    seen, int_dtype = [], linalg.int_dtype
+
+    def recorded(terms, X):
+        seen.append(int_dtype(terms, X))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "int_dtype", recorded)
+    rng = random.Random(8)
+    for p, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31 + 11, object)):
+        for r in range(1, 6):
+            # r rows of residues near p, and combinations of them mod p
+            M = [[p - 1 - rng.randrange(1000) for _ in range(7)] for _ in range(r)]
+            for _ in range(6 - r):
+                c = [rng.randrange(p) for _ in range(r)]
+                M.append([sum(a * x for a, x in zip(c, col)) % p for col in zip(*M[:r])])
+            got = rank_mod_p(np.array(M, dtype=object), p)[0]
+            assert seen[-1] is dtype and got == _rank_mod_p_by_python(M, p) == r
 
 
 def _rref(rows, ncols):

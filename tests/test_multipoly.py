@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubiconics import multipoly
 from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank
 from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, int_dtype, int_eval,
@@ -155,6 +156,92 @@ def test_bezout_cutoff_matches_fraction_solve(d):
         got = bezout_cutoff([r1, r2, r3], d)
         assert got is not None and got[1] != (r1, r2)
         assert got == _bezout_cutoff_by_solve([r1, r2, r3], d)
+
+
+def _with_repeats(rng, rows, d):
+    """rows with exact repeats, zero rows and scaled rows inserted."""
+    rows = list(rows)
+    for _ in range(rng.randint(1, 4)):
+        r = rows[rng.randrange(len(rows))]
+        extra = rng.choice((list(r), [0] * (d + 1), [rng.choice((2, -3)) * x for x in r]))
+        rows.insert(rng.randint(0, len(rows)), extra)
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bezout_cutoff_with_repeated_zero_and_scaled_rows(d):
+    rng = random.Random(70 + d)
+    for size in (3, 10 ** 4, 10 ** 12):
+        for _ in range(10):
+            rows = _with_repeats(rng, [[rng.randint(-size, size) for _ in range(d + 1)]
+                                       for _ in range(rng.randint(2, 4))], d)
+            got = bezout_cutoff(rows, d)
+            assert got == _bezout_cutoff_by_solve(rows, d)
+            # the certifying rows are the first occurrences, in order
+            if got is not None:
+                i, j = (next(k for k, r in enumerate(rows) if r == x) for x in got[1])
+                assert i < j and got[1][0] is rows[i] and got[1][1] is rows[j]
+    # a repeat of the first row after the second: (a, b) is found, not (b, a)
+    a, b = [1] + [0] * (d - 1) + [2], [0] * d + [1]
+    for rows in ([a, b, list(a)], [a, [0] * (d + 1), b, list(b), list(a)]):
+        got = bezout_cutoff(rows, d)
+        assert got == _bezout_cutoff_by_solve(rows, d) and got[1] == (a, b)
+        assert got[1][0] is a and got[1][1] is b
+
+
+def test_bezout_cutoff_tie_goes_to_the_first_pair():
+    # t2 -> -t2 fixes a and swaps b and b2, so (a, b) and (a, b2) tie;
+    # b and b2 share the factor t1
+    a, b, b2 = [1, 0, 1], [1, 1, 0], [1, -1, 0]
+    assert bezout_cutoff([a, b], 2)[0] == bezout_cutoff([a, b2], 2)[0]
+    assert bezout_cutoff([b, b2], 2) is None
+    for rows, first in (([a, b, b2], (a, b)), ([b2, a, b], (b2, a))):
+        got = bezout_cutoff(rows, 2)
+        assert got == _bezout_cutoff_by_solve(rows, 2) and got[1] == first
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bezout_cutoff_without_a_coprime_pair(d):
+    rng = random.Random(90 + d)
+    lin = [rng.randint(1, 9), rng.randint(-9, 9)]
+    rows = [_poly_times(lin, [rng.randint(-9, 9) for _ in range(d)]) for _ in range(4)]
+    rows = _with_repeats(rng, [r for r in rows if any(r)] or [lin + [0] * (d - 1)], d)
+    assert bezout_cutoff(rows, d) is None and _bezout_cutoff_by_solve(rows, d) is None
+    assert bezout_cutoff([], d) is None and bezout_cutoff([[0] * (d + 1)] * 3, d) is None
+
+
+def test_bezout_cutoff_on_both_sides_of_the_int64_switch(monkeypatch):
+    # rows a t1^3 + t2^3 and t1^3 + a t2^3 give H = (a^2 + 1)^3, and the
+    # batch runs in int64 while 2 H^2 < 2^62, so up to a = 33
+    assert 2 * (33 ** 2 + 1) ** 6 < 2 ** 62 <= 2 * (34 ** 2 + 1) ** 6
+    seen = []
+
+    def recorded(terms, X):
+        seen.append(int_dtype(terms, X))
+        return seen[-1]
+
+    monkeypatch.setattr(multipoly, "int_dtype", recorded)
+    for a, dtype in ((33, np.int64), (34, object)):
+        rows = [[a, 0, 0, 1], [1, 0, 0, a], [1, -1, 1, 0]]
+        got = bezout_cutoff(rows, 3)
+        assert seen[-1] is dtype and got == _bezout_cutoff_by_solve(rows, 3)
+
+
+def test_bezout_cutoff_refuses_a_winner_that_fails_its_identities(monkeypatch):
+    # int64 forced past the Hadamard bound wraps; the exact check catches it
+    monkeypatch.setattr(multipoly, "int_dtype", lambda terms, X: np.int64)
+    rng = random.Random(7)
+    rows = [[rng.randint(-10 ** 4, 10 ** 4) for _ in range(4)] for _ in range(4)]
+    with pytest.raises(AssertionError, match="Bezout identities fail"):
+        bezout_cutoff(rows, 3)
+
+
+def test_bezout_cutoff_on_the_corpus_pencils(corpus_forms):
+    from cubiconics.cubic_conics import CubicSurface, conic_family, find_lines
+    for f in corpus_forms:
+        surface = CubicSurface.make(f)
+        rows, d = conic_family(surface, find_lines(surface, 2)[0]).int_rows
+        assert bezout_cutoff(rows, d) == _bezout_cutoff_by_solve(rows, d)
 
 
 def test_sylvester_resultant():
