@@ -22,10 +22,9 @@ from .errors import (BudgetError, ConfigError, DegenerateReductionError,
 from .exactarith import (GFContext, PrimeTable, bertrand_prime, factorize,
                          ff_factor_linear, mertens_check,
                          prime_sum_over_divisors, primes_up_to, theta_psi_phi)
-from .heights import (HeightValue, ProjPoint, affine_height,
-                      height_comparison_audit, normalize_primitive,
+from .heights import (HeightValue, affine_height, height_comparison_audit,
                       point_height, poly_height, product_formula_check)
-from .hilbert_samuel import (ExternalConstants, LocalProfile, ReductionCensus,
+from .hilbert_samuel import (ExternalConstants, ReductionCensus,
                              bad_reduction_census, bound_evaluator,
                              bound_exponent, geometric_hs, geometric_hs_window,
                              local_hs, q_lower_bound_check, q_partial_sum,

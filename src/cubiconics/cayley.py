@@ -54,8 +54,8 @@ def wedge_names(n: int):
                  for i in range(n + 1))
 
 
-def grassmann_relation(names=PLUCKER) -> MultiPoly:
-    return MultiPoly.parse("p01*p23 - p02*p13 + p03*p12", names)
+def grassmann_relation() -> MultiPoly:
+    return MultiPoly.parse("p01*p23 - p02*p13 + p03*p12", PLUCKER)
 
 
 def canonical_mod_G(poly: MultiPoly) -> MultiPoly:
@@ -159,8 +159,8 @@ class LineP3:
     def make(cls, u: MultiPoly, v: MultiPoly) -> "LineP3":
         u, v = restrict(u, T4), restrict(v, T4)
         pl = plucker_of_line(u, v)
-        assert grassmann_relation().evaluate(pl) == 0, \
-            "minor vector violates the quadric relation"
+        if grassmann_relation().evaluate(pl) != 0:
+            raise AssertionError("minor vector violates the quadric relation")
         return cls(u, v, pl)
 
 
@@ -175,10 +175,10 @@ def incidence_form(line: LineP3) -> PluckerForm:
         tuple(int(k == i) for k in range(6)): c for i, c in enumerate(coeffs)}))
 
 
-@functools.lru_cache(maxsize=None)
-def minor_biforms(names=UV):
-    """{p_ij -> u_i v_j - u_j v_i} in the given biform ring."""
-    x = {n: MultiPoly.variable(n, names) for n in names if n[0] in "uv"}
+@functools.cache
+def minor_biforms():
+    """{p_ij -> u_i v_j - u_j v_i} in the biform ring of the hyperplane pair."""
+    x = {n: MultiPoly.variable(n, UV) for n in UV}
     return {key: x[f"u{i}"] * x[f"v{j}"] - x[f"u{j}"] * x[f"v{i}"]
             for (i, j), key in zip(_PAIRS, PLUCKER)}
 

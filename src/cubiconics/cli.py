@@ -55,7 +55,7 @@ def _parse_blist(s):
 
 
 def _constants(args):
-    if getattr(args, "constants", None):
+    if args.constants:
         return ExternalConstants.from_file(args.constants)
     return ExternalConstants()
 
@@ -295,8 +295,6 @@ def build_parser():
             p.add_argument("--curve")
         if B:
             p.add_argument("--B", required=True, help="comma-separated bounds")
-        p.add_argument("--budget", type=float, default=None)
-        p.add_argument("--constants", help="key=value file of external constants")
 
     p = sub.add_parser("primes", parents=[parent], help="prime-distribution functions")
     p.add_argument("--x-max", type=float, default=1e4)
@@ -329,6 +327,7 @@ def build_parser():
 
     p = sub.add_parser("count", parents=[parent], help="point enumeration")
     common(p, curve=True, B=True)
+    p.add_argument("--budget", type=float, default=None)
     p.add_argument("--surface")
     p.add_argument("--mode", choices=("projective", "affine"), default="projective")
     p.add_argument("--points", action="store_true", help="include point lists")
@@ -336,10 +335,14 @@ def build_parser():
 
     p = sub.add_parser("aux", parents=[parent], help="minimal auxiliary-form degree search")
     common(p, curve=True, B=True)
+    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--constants", help="key=value file of external constants")
     p.set_defaults(func=cmd_aux)
 
     p = sub.add_parser("verify", parents=[parent], help="end-to-end conic-count experiments")
     common(p, surface=True, B=True)
+    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--constants", help="key=value file of external constants")
     p.add_argument("--affine", action="store_true",
                    help="also run the integral-point experiment")
     p.set_defaults(func=cmd_verify)

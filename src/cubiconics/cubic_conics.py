@@ -47,7 +47,6 @@ SINGULAR_LINE_HEIGHT = 1
 @dataclass
 class CubicSurface:
     f: MultiPoly
-    classification: dict | None = None
 
     @classmethod
     def make(cls, f: MultiPoly) -> "CubicSurface":
@@ -75,7 +74,8 @@ def cofactor_pair(f: MultiPoly, l1: MultiPoly, l2: MultiPoly):
         raise DomainError("plane forms are proportional")
     B = r1.exact_divide(l2bar) if not r1.is_zero() else MultiPoly.zero(f.names)
     A = (f - B * l2).exact_divide(l1)
-    assert A * l1 + B * l2 == f
+    if A * l1 + B * l2 != f:
+        raise AssertionError("cofactors fail the identity f = A*l1 + B*l2")
     return A, B
 
 
@@ -223,8 +223,7 @@ def classify_cubic(f: MultiPoly) -> dict:
     Flags carry confidence labels: smoothness mod a good prime certifies
     non-ruledness; a singular line is evidence of a ruled (skew) surface.
     """
-    surface = CubicSurface.make(f)
-    f = surface.f
+    f = CubicSurface.make(f).f
     k, basis = essential_variable_count(f)
     is_cone = k <= 3
     # affine question: drop T0 at 1 and test expressibility in two forms
@@ -260,7 +259,7 @@ def classify_cubic(f: MultiPoly) -> dict:
     else:
         non_ruled = "evidence-only"
 
-    record = {
+    return {
         "essential_vars": k,
         "essential_basis": [str(b) for b in basis],
         "is_cone": is_cone,
@@ -272,8 +271,6 @@ def classify_cubic(f: MultiPoly) -> dict:
         "singular_lines": singular_lines,
         "non_ruled": non_ruled,
     }
-    surface.classification = record
-    return record
 
 
 def absolutely_irreducible_cubic_mod_p(f: MultiPoly, p: int) -> str:
@@ -322,8 +319,8 @@ def residual_conic(surface: CubicSurface, rline: RationalLine, t=None):
     ell_t = t1 * l1x + t2 * l2x
     Q_t = t1 * Bx - t2 * Ax
     # exact cycle identities
-    assert t1 * fx == Ax * ell_t + Q_t * l2x
-    assert t2 * fx == Bx * ell_t - Q_t * l1x
+    if t1 * fx != Ax * ell_t + Q_t * l2x or t2 * fx != Bx * ell_t - Q_t * l1x:
+        raise AssertionError("the pencil fails its cycle identities")
     if t is None:
         _, Q_t = Q_t.rational_content()
         return ell_t, Q_t

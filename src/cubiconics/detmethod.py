@@ -96,16 +96,6 @@ class EvaluationMatrix:
     names: tuple
     D: int
 
-    def dump(self) -> str:
-        """Text dump for offline inspection: the column monomials in the
-        polynomial text format, then one integer row per point."""
-        head = " | ".join(
-            str(MultiPoly(self.names, {e: 1})) for e in self.monomials)
-        lines = [f"# degree {self.D}; columns: {head}"]
-        for p, row in zip(self.points, self.rows):
-            lines.append(f"{list(p)}: " + " ".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def evaluation_matrix(points, D: int, names=None) -> EvaluationMatrix:
     """Exact integer matrix of the degree-D monomial evaluations, rows by

@@ -199,21 +199,6 @@ class GFContext:
         out.setflags(write=False)
         return out
 
-    def element_str(self, a):
-        if self.e == 1:
-            return str(a)
-        bits = []
-        for i in range(self.e):
-            c = a // self.p ** i % self.p
-            if c == 0:
-                continue
-            if i == 0:
-                bits.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                bits.append(f"{head}g" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(bits) if bits else "0"
-
 
 @functools.lru_cache(maxsize=16)
 def gf_context(p: int, e: int) -> GFContext:
@@ -282,18 +267,8 @@ class LinearFactor:
     e: int
     coeffs: tuple
 
-    def pretty(self, ctx: GFContext, names):
-        bits = []
-        for c, n in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            s = ctx.element_str(c)
-            bits.append(n if s == "1" else f"({s})*{n}")
-        return " + ".join(bits)
 
-
-def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
-                     budget: int = DEFAULT_FF_BUDGET):
+def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1):
     """All linear forms over GF(p^extension_degree) dividing f (up to scalar),
     in the order of ``proj_points``.  An empty result certifies that no
     linear factor exists over that field.
@@ -313,9 +288,9 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1,
     nvars = len(f.names)
     e = extension_degree
     work = p ** (e * nvars)
-    if work > budget:
+    if work > DEFAULT_FF_BUDGET:
         raise BudgetError(
-            f"p^(e*nvars) = {work} exceeds budget {budget}", partial=None)
+            f"p^(e*nvars) = {work} exceeds budget {DEFAULT_FF_BUDGET}", partial=None)
     ctx = gf_context(p, e)
     red = reduce_mod_p(f, p)
     if not red:

@@ -29,23 +29,6 @@ class HeightValue:
         return cls(H, math.log(H))
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Primitive-integer projective point: gcd 1, first nonzero coordinate
-    positive, height cached."""
-
-    coords: tuple
-    height: int
-
-    @classmethod
-    def make(cls, coords) -> "ProjPoint":
-        prim, _ = normalize_primitive_vector(coords)
-        return cls(prim, max(abs(c) for c in prim))
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
 def normalize_primitive_vector(coords):
     """Primitive integer representative of a rational vector plus the scalar
     extracted, so coords == scalar * representative."""
@@ -67,30 +50,16 @@ def normalize_primitive_vector(coords):
     return tuple(ints), scalar
 
 
-def normalize_primitive(obj):
-    """Primitive, sign-normalized representative of a coordinate vector or a
-    polynomial; returns (normalized, extracted scalar) with
-    input == scalar * normalized."""
-    if isinstance(obj, MultiPoly):
-        if obj.is_zero():
-            raise DomainError("zero polynomial")
-        content, prim = obj.rational_content()
-        return prim, content
-    return normalize_primitive_vector(obj)
-
-
 def point_height(xi) -> HeightValue:
     """Naive height of a projective point over Q.
 
     Computed place by place (the finite places collapse the content), which
     for a primitive representative equals the max coordinate magnitude.
     """
-    if isinstance(xi, ProjPoint):
-        coords = xi.coords
-    else:
-        coords, _ = normalize_primitive_vector(xi)
+    coords, _ = normalize_primitive_vector(xi)
     H = _place_product(coords)
-    assert H == max(abs(c) for c in coords)
+    if H != max(abs(c) for c in coords):
+        raise AssertionError("place product differs from the max coordinate")
     return HeightValue.from_H(H)
 
 

@@ -1,9 +1,11 @@
 """Local/geometric Hilbert-Samuel combinatorics, reduction censuses, and the
 closed-form bound evaluators.
 
-The external analytic constants (B1, kappa's, eps's, and the implicit B(n,d)
-threshold) are user-supplied knobs defaulting to 0; every report labels them
-"not-paper-derived".  The combinatorial functions themselves are exact.
+The external analytic constants (b1, kappa's, eps2 and the implicit B(n,d)
+threshold) are not derived here: they default to 0 and may be read from a
+key=value file.  Reports never print them, only the bounds they enter (the
+README's command-line section says which of those are tagged).  The
+combinatorial functions themselves are exact.
 """
 
 from __future__ import annotations
@@ -21,36 +23,16 @@ from .linalg import det, rank, rank_mod_p
 from .multipoly import MultiPoly
 
 
-@dataclass(frozen=True)
-class LocalProfile:
-    d: int
-    mu: int
-    delta: int
-
-    def __post_init__(self):
-        if not (self.d >= 1 and 1 <= self.mu <= self.delta):
-            raise DomainError("need d >= 1 and 1 <= mu <= delta")
-
-
 @dataclass
 class ExternalConstants:
-    """Imported analytic constants.  All default to 0 and are flagged as
-    not derived here; supply better values via a key=value file."""
+    """Imported analytic constants, not derived here.  All default to 0;
+    supply better values via a key=value file."""
 
     b1: float = 0.0       # lower-bound constant B1(d), applied for every d
     kappa1: float = 0.0
     kappa2: float = 0.0
-    eps1: float = 0.0
     eps2: float = 0.0
-    eps3: float = 0.0
     b_ndk: float = 0.0    # implicit threshold constant B(n,d,K)
-
-    def B1(self, d: int) -> float:
-        return self.b1
-
-    def labels(self) -> dict:
-        return {k: "not-paper-derived (user-supplied, default 0)"
-                for k in ("b1", "kappa1", "kappa2", "eps1", "eps2", "eps3", "b_ndk")}
 
     @classmethod
     def from_file(cls, path) -> "ExternalConstants":
@@ -278,12 +260,12 @@ def bad_reduction_census(q: MultiPoly) -> ReductionCensus:
         raise DomainError("input quadratic is not geometrically integral over Q")
     A = gram_matrix_doubled(q)
     minor = _first_nonzero_minor3(A)
-    assert minor != 0
-    candidates = sorted(p for p in factorize(minor) if p > threshold)
-    bad = []
-    for p in candidates:
-        if rank_mod_p(A, p)[0] < 3:
-            bad.append((p, "gram rank < 3 mod p"))
+    if minor == 0:
+        raise AssertionError("a quadratic of Gram rank >= 3 has no nonzero 3x3 minor")
+    # candidates are above 432, so odd: integrality mod p is Gram rank >= 3
+    candidates = [p for p in sorted(factorize(minor)) if p > threshold]
+    bad = [(p, "gram rank < 3 mod p") for p in candidates
+           if not is_geometrically_integral_quadratic(q, p)]
     b_prime = 1.0
     for p, _reason in bad:
         b_prime *= math.exp(math.log(p) / p)
@@ -297,43 +279,43 @@ def N_nd(n: int, d: int) -> int:
     return math.comb(n + 1, d + 1) - 1
 
 
-def C1(n: int, d: int, delta: int, k: ExternalConstants, degK: int = 1) -> float:
-    lead = ((d + 1) * degK / (d * delta ** (1.0 / d))) * (0.75 * math.log(n + 1) - k.B1(d))
+def C1(n: int, d: int, delta: int, k: ExternalConstants) -> float:
+    lead = ((d + 1) / (d * delta ** (1.0 / d))) * (0.75 * math.log(n + 1) - k.b1)
     tail = ((d ** 3 + 5 * d ** 2 + 8 * d)
             / (2.0 * d * (d + 2) * math.factorial(d) ** (1.0 / d))) \
         * (1 + (d + 1) / 4.0) * (1 + k.kappa1)
     return lead + k.kappa2 + 3 + math.log(math.factorial(d)) / d + tail
 
 
-def C1_prime(n, d, delta, k: ExternalConstants, degK: int = 1) -> float:
-    return (math.exp(C1(n, d, delta, k, degK)) * 7 * (N_nd(n, d) + 1)
-            * math.exp(2 * k.eps2 - 3 * math.log(3) + degK) * d)
+def C1_prime(n, d, delta, k: ExternalConstants) -> float:
+    return (math.exp(C1(n, d, delta, k)) * 7 * (N_nd(n, d) + 1)
+            * math.exp(2 * k.eps2 - 3 * math.log(3) + 1) * d)
 
 
-def C1_doubleprime(n, d, delta, k: ExternalConstants, degK: int = 1) -> float:
-    return (C1(n, d, delta, k, degK) * 7 * (N_nd(n, d) + 1)
-            * math.exp(2 * k.eps2 - 3 * math.log(3) + degK)
-            * (d + 1) * (k.B1(d) + 3.5 * math.log(n + 1)))
+def C1_doubleprime(n, d, delta, k: ExternalConstants) -> float:
+    return (C1(n, d, delta, k) * 7 * (N_nd(n, d) + 1)
+            * math.exp(2 * k.eps2 - 3 * math.log(3) + 1)
+            * (d + 1) * (k.b1 + 3.5 * math.log(n + 1)))
 
 
-def C2(n, d, delta, k: ExternalConstants, degK: int = 1) -> float:
+def C2(n, d, delta, k: ExternalConstants) -> float:
     N = N_nd(n, d)
-    return (math.exp(2 * k.eps2 - 3 * math.log(3) + degK)
+    return (math.exp(2 * k.eps2 - 3 * math.log(3) + 1)
             * (3 + math.log(math.comb(N + delta, delta)) + (N + 1) * math.log(2)
                + 4 * math.log(N + 1) + math.log(3) - 0.5 * float(harmonic(N))))
 
 
-def C3(n, d, delta, k: ExternalConstants, degK: int = 1, alphaK: float = 2.0) -> float:
+def C3(n, d, delta, k: ExternalConstants) -> float:
     N = N_nd(n, d)
-    return (math.exp(C1(n, d, delta, k, degK)) * 2 ** ((N + 1) / d) * (N + 1) ** (4.0 / d)
+    return (math.exp(C1(n, d, delta, k)) * 2 ** ((N + 1) / d) * (N + 1) ** (4.0 / d)
             * math.exp(2 * d * float(harmonic(N))) * math.exp((d + 1) / math.e)
-            * k.b_ndk ** (d + 1) * C2(n, d, delta, k, degK) * alphaK ** (1.0 / d))
+            * k.b_ndk ** (d + 1) * C2(n, d, delta, k) * 2.0 ** (1.0 / d))
 
 
-def C4(n, d, delta, k: ExternalConstants, degK: int = 1, alphaK: float = 2.0) -> float:
+def C4(n, d, delta, k: ExternalConstants) -> float:
     N = N_nd(n, d)
-    return (C3(n, d, delta, k, degK, alphaK) * C2(n, d, delta, k, degK) * math.e * d * (d + 1)
-            + (k.B1(d) - 3.5 * math.log(n + 1) + (N + 1) / (d + 1) * math.log(2)
+    return (C3(n, d, delta, k) * C2(n, d, delta, k) * math.e * d * (d + 1)
+            + (k.b1 - 3.5 * math.log(n + 1) + (N + 1) / (d + 1) * math.log(2)
                + 4.0 / (d + 1) * math.log(N + 1) - float(harmonic(N)) / (2 * (d + 1))))
 
 
@@ -376,18 +358,12 @@ def bound_evaluator(kind: str, params: dict, constants: ExternalConstants) -> fl
     except KeyError as exc:
         raise ConfigError("missing parameter B") from exc
     k = constants
-    if kind == "projective-curve":
+    if not kind.startswith("conics"):
+        # C1' (projective) or C4 (affine) in dimension d, times delta^(5 - d)
         n, delta = int(params["n"]), int(params["delta"])
-        return C1_prime(n, 1, delta, k) * delta ** 4 * B ** (2.0 / delta)
-    if kind == "projective-surface":
-        n, delta = int(params["n"]), int(params["delta"])
-        return C1_prime(n, 2, delta, k) * delta ** 3 * B ** (3.0 / (2 * delta ** 0.5))
-    if kind == "affine-curve":
-        n, delta = int(params["n"]), int(params["delta"])
-        return C4(n, 1, delta, k) * delta ** 4 * B ** (1.0 / delta)
-    if kind == "affine-surface":
-        n, delta = int(params["n"]), int(params["delta"])
-        return C4(n, 2, delta, k) * delta ** 3 * B ** (1.0 / delta ** 0.5)
+        d = 1 if kind.endswith("curve") else 2
+        pref = (C1_prime if kind.startswith("projective") else C4)(n, d, delta, k)
+        return pref * delta ** (5 - d) * B ** bound_exponent(kind, delta)
     if kind == "conics-rational":
         pref = (93312 * math.exp(23040 * math.log(2) * math.log(12) / 137)
                 * C1_doubleprime(3, 1, 2, k) * C1_prime(20, 1, 2, k)

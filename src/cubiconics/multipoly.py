@@ -104,9 +104,6 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def __len__(self):
-        return len(self.terms)
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -189,9 +186,6 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other, self.names)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -958,5 +952,6 @@ def essential_variable_count(f: MultiPoly):
                                 for j in range(nv) if v[j] != 0})
         _, p = p.rational_content()
         forms.append(p)
-    assert len(forms) == k
+    if len(forms) != k:
+        raise AssertionError("annihilator basis size differs from the rank")
     return k, forms

@@ -447,7 +447,7 @@ def enumerate_affine(forms, names, B, budget: float | None = None,
 # --- conic points, recounted through the chord parameterization --------------------
 
 
-def conic_points(Q: MultiPoly, ell: MultiPoly, B, budget: float | None = None) -> CountResult:
+def conic_points(Q: MultiPoly, ell: MultiPoly, B) -> CountResult:
     """Rational points of height <= B on the conic V(ell, Q) in P^3.
 
     Brute enumeration solves the plane form's pivot coordinate per fiber.
@@ -459,7 +459,7 @@ def conic_points(Q: MultiPoly, ell: MultiPoly, B, budget: float | None = None) -
     Q = restrict(Q, T4).rational_content()[1]
     ell = restrict(ell, T4).rational_content()[1]
     piv = T4[min(e.index(1) for e in ell.terms)]
-    brute = enumerate_projective([ell, Q], T4, B, budget=budget, solve_var=piv)
+    brute = enumerate_projective([ell, Q], T4, B, solve_var=piv)
     fast = _conic_points_parameterized(Q, ell, B)
     if isinstance(fast, str):
         note = f"brute ({fast}; acceleration skipped)"

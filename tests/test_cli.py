@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from cubiconics import cubic_conics
+from cubiconics.cayley import cayley_degree_parts, cayley_hypersurface
 from cubiconics.cli import load_forms, main
 from cubiconics.errors import ConfigError, MacaulayDegenerateError, NonDivisibleError
+from cubiconics.multipoly import MultiPoly
+from cubiconics.pointcount import enumerate_affine
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +33,35 @@ def test_count_command(capsys, data_dir):
     rep = json.loads(out)
     assert rep["schema_version"] == 1
     assert rep["results"]["counts"] == [4]
+
+
+def test_count_command_affine_mode(capsys, tmp_path):
+    # a curve file without T0: the affine count runs in T1, T2
+    circle = tmp_path / "circle.txt"
+    circle.write_text("T1^2 + T2^2 - 25\n")
+    code, out = run_cli(capsys, "count", "--curve", str(circle), "--B", "4,5,8",
+                        "--mode", "affine", "--points")
+    assert code == 0
+    res = json.loads(out)["results"]
+    names = ("T1", "T2")
+    ref = enumerate_affine([MultiPoly.parse("T1^2 + T2^2 - 25", names)], names, 8)
+    assert res["points"] == [list(p) for p in ref.points]
+    assert res["total_points"] == ref.count == 12
+    assert res["counts"] == [sum(x * x + y * y <= B * B for x, y in ref.points)
+                             for B in (4, 5, 8)] == [0, 12, 12]
+
+
+def test_cayley_command_hypersurface(capsys, data_dir):
+    code, out = run_cli(capsys, "cayley", "--surface", str(data_dir / "fermat.cubic"))
+    assert code == 0
+    psi = cayley_hypersurface(load_forms(data_dir / "fermat.cubic")[0][0])
+    assert json.loads(out)["results"] == {
+        "kind": "hypersurface",
+        "cayley_form": str(psi),
+        "height_H": {"provenance": "exact", "value": "1"},
+        "degree_parts_index0": {str(k): str(v)
+                                for k, v in cayley_degree_parts(psi, 0).items()},
+    }
 
 
 def test_primes_command_deterministic(capsys):

@@ -253,6 +253,22 @@ def test_leading_family(fermat_pencil):
     assert rep["no_common_zero"]
 
 
+def test_leading_family_gcd_fallback():
+    def forms(*texts):
+        return types.SimpleNamespace(a_family=[MultiPoly.parse(t, TPAR) for t in texts])
+
+    # every pair shares a factor (t1, t2 or t1 + t2), but the three have gcd 1
+    rep = leading_family(forms("t1*t2", "t1^2 + t1*t2", "t1*t2 + t2^2"),
+                         "certified-irreducible")
+    assert rep["no_common_zero"] and rep["certificate"] == "family gcd = 1"
+    common = forms("t1*t2", "t1^2")
+    assert leading_family(common) == {
+        "a_family": ["1 * t1*t2", "1 * t1^2"], "rank": 2, "no_common_zero": False,
+        "certificate": "common factor 1 * t1", "hypothesis_degree3_part": None}
+    with pytest.raises(PropertyViolationError):
+        leading_family(common, "certified-irreducible")
+
+
 def test_family_image(fermat_pencil):
     img_b = family_image(fermat_pencil.b_ij.values())
     assert img_b["image_degree"] * img_b["cover_degree"] == \

@@ -430,8 +430,3 @@ def test_translation_search_rejects_zero_input():
     with pytest.raises(DomainError):
         translation_search(MultiPoly.zero(A3))
 
-
-def test_evaluation_matrix_dump():
-    M = evaluation_matrix([(1, 2, 3)], 1)
-    text = M.dump()
-    assert "degree 1" in text and "[1, 2, 3]" in text

@@ -98,9 +98,9 @@ def test_factorize():
 def test_ff_factor_linear_examples():
     B2 = ("T0", "T1")
     f = MultiPoly.parse("T0^2 - T1^2", B2)
-    factors, ctx = ff_factor_linear(f, 3, 1)
-    pretty = sorted(x.pretty(ctx, B2) for x in factors)
-    assert pretty == ["T0 + (2)*T1", "T0 + T1"]  # T0 - T1 and T0 + T1 over F_3
+    factors, _ = ff_factor_linear(f, 3, 1)
+    coeffs = sorted(x.coeffs for x in factors)
+    assert coeffs == [(1, 1), (1, 2)]  # T0 + T1 and T0 - T1 over F_3
 
     smooth, _ = ff_factor_linear(MultiPoly.parse("T0^2 + T1^2 + T2^2",
                                                  ("T0", "T1", "T2")), 3, 1)
@@ -118,7 +118,7 @@ def test_ff_factor_linear_extension_and_budget():
     ext, _ = ff_factor_linear(f, 3, 2)
     assert len(ext) == 2
     with pytest.raises(BudgetError):
-        ff_factor_linear(f, 101, 3, budget=10)
+        ff_factor_linear(f, 101, 3)
 
 
 def test_ff_factor_multiply_back():

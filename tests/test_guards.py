@@ -1,0 +1,149 @@
+"""Guards against regrowth and against checks that vanish under python -O.
+
+Every command-line option must be read by its command's handler, every span
+target of ``bench/tracing.py`` must resolve, and every internal check must
+raise AssertionError explicitly rather than by an ``assert`` statement.
+"""
+
+import argparse
+import ast
+import inspect
+import os
+import runpy
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from cubiconics import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cubiconics"
+# the flags every command shares: main echoes them in the report's config,
+# _emit reads --out, --format and --timing
+SHARED = {"out", "format", "seed", "threads", "timing"}
+
+
+def _reads(func):
+    """The attributes of ``args`` that a cli function reads, itself or
+    through the cli functions it hands ``args`` to."""
+    found = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            found |= _reads(getattr(cli, node.func.id))
+    return found
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for name, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert SHARED <= dests
+        missed = dests - SHARED - _reads(parser.get_default("func"))
+        if missed:
+            unread[name] = sorted(missed)
+    assert unread == {}
+
+
+def test_bench_trace_targets_resolve():
+    targets = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["TARGETS"]
+    assert targets
+    for span, (module, path) in targets.items():
+        obj = __import__(module, fromlist=["_"])
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), span
+
+
+def test_no_internal_check_is_an_assert_statement():
+    bare = [f"{p.name}:{node.lineno}" for p in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
+    assert bare == []
+
+
+# Each check breaks one certified identity from outside and must still raise
+# AssertionError when python runs with -O.
+CHECKS = {
+    "cofactor identity": """
+        real, calls = MultiPoly.exact_divide, []
+        def second_is_wrong(self, g):
+            calls.append(g)
+            q = real(self, g)
+            return q + g if len(calls) == 2 else q
+        MultiPoly.exact_divide = second_is_wrong
+        try:
+            cubic_conics.cofactor_pair(F, L1, L2)
+        finally:
+            MultiPoly.exact_divide = real
+    """,
+    "cycle identities": """
+        A, B = cubic_conics.cofactor_pair(F, L1, L2)
+        swapped = cubic_conics.RationalLine(cayley.LineP3.make(L1, L2), B, A)
+        cubic_conics.residual_conic(cubic_conics.CubicSurface.make(F), swapped)
+    """,
+    "Grassmann relation": """
+        cayley.plucker_of_line = lambda u, v: (1, 0, 0, 0, 0, 1)
+        cayley.LineP3.make(L1, L2)
+    """,
+    "place product": """
+        heights._place_product = lambda ints: Fraction(7)
+        heights.point_height([1, 2])
+    """,
+    "nonzero minor": """
+        hilbert_samuel._first_nonzero_minor3 = lambda A: 0
+        hilbert_samuel.bad_reduction_census(MultiPoly.parse("T0*T2 - T1^2", T4[:3]))
+    """,
+    "annihilator size": """
+        real, calls = multipoly.exact_kernel, []
+        def second_grows(rows, ncols):
+            calls.append(rows)
+            out = real(rows, ncols)
+            return out + out[:1] if len(calls) == 2 else out
+        multipoly.exact_kernel = second_grows
+        multipoly.essential_variable_count(F)
+    """,
+}
+
+SCRIPT = """
+from fractions import Fraction
+from cubiconics import cayley, cubic_conics, heights, hilbert_samuel, multipoly
+from cubiconics.cayley import T4
+from cubiconics.multipoly import MultiPoly
+
+F = MultiPoly.parse("T0^3 + T1^3 + T2^3 + T3^3", T4)
+L1, L2 = MultiPoly.parse("T0 + T1", T4), MultiPoly.parse("T2 + T3", T4)
+modules = (cayley, cubic_conics, heights, hilbert_samuel, multipoly)
+saved = [dict(vars(m)) for m in modules]
+for name, body in CHECKS.items():
+    try:
+        exec(body, dict(globals()))
+        print(name, "-> silent")
+    except Exception as exc:
+        print(name, "->", type(exc).__name__)
+    for m, attrs in zip(modules, saved):
+        vars(m).update(attrs)
+"""
+
+
+@pytest.fixture(scope="module")
+def optimized_run():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    checks = {name: textwrap.dedent(body) for name, body in CHECKS.items()}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", f"CHECKS = {checks!r}\n{SCRIPT}"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split(" -> ") for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_internal_check_survives_python_O(optimized_run, name):
+    assert optimized_run[name] == "AssertionError"

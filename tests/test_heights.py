@@ -5,38 +5,28 @@ from fractions import Fraction
 import pytest
 
 from cubiconics.errors import DomainError
-from cubiconics.heights import (ProjPoint, affine_height, comparison_window,
-                                height_comparison_audit, normalize_primitive,
-                                point_height, poly_height,
-                                product_formula_check)
+from cubiconics.heights import (affine_height, comparison_window,
+                                height_comparison_audit,
+                                normalize_primitive_vector, point_height,
+                                poly_height, product_formula_check)
 from cubiconics.multipoly import MultiPoly
 
 T = ("T0", "T1", "T2", "T3")
 
 
 def test_normalize_primitive_vectors():
-    v, s = normalize_primitive([4, 6])
+    v, s = normalize_primitive_vector([4, 6])
     assert v == (2, 3) and s == 2
-    v2, s2 = normalize_primitive([-1, 0])
+    v2, s2 = normalize_primitive_vector([-1, 0])
     assert v2 == (1, 0) and s2 == -1
     with pytest.raises(DomainError):
-        normalize_primitive([0, 0])
-
-
-def test_normalize_primitive_poly():
-    f = MultiPoly.parse("1/2*T0 + 1/3*T1", T)
-    p, s = normalize_primitive(f)
-    assert p == MultiPoly.parse("3*T0 + 2*T1", T)
-    assert s == Fraction(1, 6)
-    assert s * p == f
+        normalize_primitive_vector([0, 0])
 
 
 def test_point_height():
     assert point_height([1, 0]).H == 1
     assert point_height([2, 3]).H == 3
     assert point_height([4, 6]).H == 3  # normalized to [2:3]
-    pt = ProjPoint.make([4, 6])
-    assert pt.coords == (2, 3) and pt.height == 3
     # scaling invariance
     rng = random.Random(1)
     for _ in range(20):

@@ -4,7 +4,7 @@ import pytest
 
 from cubiconics.errors import (BudgetError, ConfigError,
                                DegenerateReductionError, DomainError)
-from cubiconics.hilbert_samuel import (ExternalConstants, LocalProfile,
+from cubiconics.hilbert_samuel import (BOUND_KINDS, C4, C1_prime, ExternalConstants,
                                        bad_reduction_census, bound_evaluator,
                                        bound_exponent, geometric_hs,
                                        geometric_hs_window,
@@ -15,12 +15,6 @@ from cubiconics.hilbert_samuel import (ExternalConstants, LocalProfile,
 from cubiconics.multipoly import MultiPoly
 
 P2 = ("T0", "T1", "T2")
-
-
-def test_local_profile_invariants():
-    LocalProfile(2, 1, 3)
-    with pytest.raises(DomainError):
-        LocalProfile(2, 4, 3)
 
 
 def test_local_hs_values():
@@ -133,9 +127,42 @@ def test_bound_evaluator():
         bound_evaluator("conics-rational", {"B": 2}, None)
 
 
+def test_bound_evaluator_every_kind():
+    # n = 3, delta = 3, with the default constants and with b1 = 3, where the
+    # composite constant C4(3, 2, 3) of the integral conic bound turns >= 0
+    params = {"n": 3, "delta": 3}
+    k0, k3 = ExternalConstants(), ExternalConstants(b1=3.0)
+    assert C4(3, 2, 3, k0) < 0 <= C4(3, 2, 3, k3)
+    shapes = {"projective-curve": (C1_prime, 1, 3 ** 4, 2 / 3),
+              "projective-surface": (C1_prime, 2, 3 ** 3, 3 / (2 * 3 ** 0.5)),
+              "affine-curve": (C4, 1, 3 ** 4, 1 / 3),
+              "affine-surface": (C4, 2, 3 ** 3, 3 ** -0.5)}
+    for kind in BOUND_KINDS:
+        for k in (k0, k3):
+            v, v2 = (bound_evaluator(kind, {**params, "B": B}, k) for B in (100, 200))
+            if kind == "conics-integral" and k is k0:
+                assert math.isnan(v) and math.isnan(v2)
+                continue
+            e = bound_exponent(kind, 3)
+            if kind in shapes:
+                const, d, scale, exponent = shapes[kind]
+                assert e == pytest.approx(exponent)
+                assert v == pytest.approx(const(3, d, 3, k) * scale * 100 ** exponent)
+                assert v2 / v == pytest.approx(2 ** e)
+            else:
+                assert v > 0
+                assert v2 / v == pytest.approx(2 ** e * math.log(200) / math.log(100))
+
+
+def test_constants_file_rejects_unused_keys(tmp_path):
+    for key in ("eps1", "eps3"):
+        p = tmp_path / f"{key}.txt"
+        p.write_text(f"{key} = 0.5\n")
+        with pytest.raises(ConfigError):
+            ExternalConstants.from_file(p)
+
+
 def test_external_constants_labels(tmp_path):
-    k = ExternalConstants()
-    assert all("not-paper-derived" in v for v in k.labels().values())
     p = tmp_path / "c.txt"
     p.write_text("b1 = 0.5\nkappa1=0.1\n# comment\n")
     k2 = ExternalConstants.from_file(p)
