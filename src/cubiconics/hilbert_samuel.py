@@ -353,11 +353,10 @@ def bound_evaluator(kind: str, params: dict, constants: ExternalConstants) -> fl
         raise ConfigError("bound_evaluator requires an ExternalConstants record")
     if kind not in BOUND_KINDS:
         raise ConfigError(f"unknown bound kind {kind!r} (choose from {BOUND_KINDS})")
-    try:
-        B = float(params["B"])
-    except KeyError as exc:
-        raise ConfigError("missing parameter B") from exc
-    k = constants
+    for name in ("B",) if kind.startswith("conics") else ("B", "n", "delta"):
+        if name not in params:
+            raise ConfigError(f"missing parameter {name}")
+    k, B = constants, float(params["B"])
     if not kind.startswith("conics"):
         # C1' (projective) or C4 (affine) in dimension d, times delta^(5 - d)
         n, delta = int(params["n"]), int(params["delta"])

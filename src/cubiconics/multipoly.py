@@ -1,10 +1,12 @@
 """Sparse exact multivariate polynomials over Q and over Q[t1,t2].
 
-A polynomial is a map from exponent vectors to nonzero Fraction coefficients,
-over a fixed tuple of variable names.  Graded-lexicographic order (total degree
-first, then lex with earlier names larger) is the single canonical term order:
-it fixes serialization, sign normalization and the leading-term conventions of
-exact division.
+A polynomial is a map from exponent vectors to nonzero rational coefficients,
+over a fixed tuple of variable names: an int where the coefficient is integral,
+a Fraction only where its denominator is greater than 1.  Coefficients are
+divided only through Fraction, so two ints never give a float.
+Graded-lexicographic order (total degree first, then lex with earlier names
+larger) is the single canonical term order: it fixes serialization, sign
+normalization and the leading-term conventions of exact division.
 
 The module also houses the two resultants (Sylvester for binary forms, the
 Macaulay two-determinant quotient in general) and the structural tests on
@@ -24,6 +26,7 @@ import heapq
 import re
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
+from operator import add, sub
 
 import numpy as np
 
@@ -31,8 +34,8 @@ from .errors import (DomainError, MacaulayDegenerateError, NonDivisibleError,
                      PropertyViolationError)
 from .linalg import _echelon, _integer_rows, det, exact_kernel, int_dtype
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 # entries per block of the integer-array kernels; bounds their working memory
 CHUNK_FIBERS = 1 << 18
 
@@ -42,18 +45,28 @@ def _heap_entry(exps):
     return (-sum(exps), tuple(-x for x in exps)), exps
 
 
-def _as_fraction(c) -> Fraction:
+def _exact(c):
+    """Stored form of an exact rational: an int if integral, else a Fraction."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        return _exact(Fraction(c))
     raise DomainError(f"not an exact rational: {c!r}")
 
 
+def _integral(terms):
+    """``terms`` with each Fraction of denominator 1 made an int, in place."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 class MultiPoly:
-    """Sparse polynomial with Fraction coefficients over named variables."""
+    """Sparse polynomial over named variables; ``terms`` maps exponent tuples
+    to nonzero coefficients, ints or Fractions of denominator > 1."""
 
     __slots__ = ("names", "terms")
 
@@ -63,38 +76,43 @@ class MultiPoly:
         if terms:
             nv = len(self.names)
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = _exact(c)
                 if c == 0:
                     continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nv or any(e < 0 for e in exps):
+                exps = tuple(map(int, exps))
+                if len(exps) != nv or min(exps, default=0) < 0:
                     raise DomainError(f"bad exponent vector {exps} for {self.names}")
-                clean[exps] = clean.get(exps, _ZERO) + c
+                clean[exps] = _exact(clean.get(exps, _ZERO) + c)
                 if clean[exps] == 0:
                     del clean[exps]
         self.terms = clean
 
     # --- constructors -----------------------------------------------------
 
+    @staticmethod
+    def _raw(names, terms):
+        """The polynomial on ``terms`` unchecked: a new, unshared dict of
+        exponent tuples over the tuple ``names`` to stored coefficients."""
+        r = MultiPoly.__new__(MultiPoly)
+        r.names, r.terms = names, terms
+        return r
+
     @classmethod
     def zero(cls, names):
-        return cls(names, {})
+        return cls._raw(tuple(names), {})
 
     @classmethod
     def constant(cls, c, names):
         names = tuple(names)
-        c = _as_fraction(c)
-        if c == 0:
-            return cls(names, {})
-        return cls(names, {(0,) * len(names): c})
+        c = _exact(c)
+        return cls._raw(names, {(0,) * len(names): c} if c else {})
 
     @classmethod
     def variable(cls, name, names):
         names = tuple(names)
-        i = names.index(name)
         e = [0] * len(names)
-        e[i] = 1
-        return cls(names, {tuple(e): _ONE})
+        e[names.index(name)] = 1
+        return cls._raw(names, {tuple(e): _ONE})
 
     # --- basic queries ----------------------------------------------------
 
@@ -135,7 +153,7 @@ class MultiPoly:
                     used.add(self.names[i])
         return used
 
-    def coefficient(self, exps) -> Fraction:
+    def coefficient(self, exps):
         return self.terms.get(tuple(exps), _ZERO)
 
     # --- term order -------------------------------------------------------
@@ -170,17 +188,12 @@ class MultiPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        r = MultiPoly.__new__(MultiPoly)
-        r.names, r.terms = self.names, out
-        return r
+        return MultiPoly._raw(self.names, _integral(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = MultiPoly.__new__(MultiPoly)
-        r.names = self.names
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return MultiPoly._raw(self.names, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -189,13 +202,10 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 return MultiPoly.zero(self.names)
-            r = MultiPoly.__new__(MultiPoly)
-            r.names = self.names
-            r.terms = {e: cc * c for e, cc in self.terms.items()}
-            return r
+            return MultiPoly._raw(self.names, _integral({e: cc * c for e, cc in self.terms.items()}))
         self._check_ring(other)
         out = {}
         if len(other.terms) > len(self.terms):
@@ -204,15 +214,13 @@ class MultiPoly:
             a, b = self, other
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, _ZERO) + c1 * c2
                 if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        r = MultiPoly.__new__(MultiPoly)
-        r.names, r.terms = self.names, out
-        return r
+        return MultiPoly._raw(self.names, _integral(out))
 
     __rmul__ = __mul__
 
@@ -266,14 +274,14 @@ class MultiPoly:
             if re not in r:
                 continue  # cancelled after it was pushed
             rc = r[re]
-            te = tuple(a - b for a, b in zip(re, ge))
+            te = tuple(map(sub, re, ge))
             if any(x < 0 for x in te):
                 rem = MultiPoly(self.names, r)
                 raise NonDivisibleError("non-divisible (leading term obstruction)", rem)
-            tc = rc / gc
-            q[te] = q.get(te, _ZERO) + tc
+            tc = _exact(Fraction(rc, gc))
+            q[te] = tc  # each re, and so each te, is reduced once
             for e2, c2 in g.terms.items():
-                e = tuple(x + y for x, y in zip(te, e2))
+                e = tuple(map(add, te, e2))
                 c, t = r.get(e), tc * c2
                 if c is None:
                     r[e] = -t
@@ -282,7 +290,7 @@ class MultiPoly:
                     del r[e]
                 else:
                     r[e] = c - t
-        return MultiPoly(self.names, q)
+        return MultiPoly._raw(self.names, q)
 
     def divides(self, f: "MultiPoly") -> bool:
         try:
@@ -302,7 +310,7 @@ class MultiPoly:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
-        return MultiPoly(self.names, out)
+        return MultiPoly._raw(self.names, _integral(out))
 
     def substitute(self, mapping) -> "MultiPoly":
         """Substitute variables by polynomials (same ring) or exact scalars.
@@ -331,7 +339,7 @@ class MultiPoly:
                 else:
                     rest[i] = ei
             if any(rest):
-                piece = piece * MultiPoly(self.names, {tuple(rest): _ONE})
+                piece = piece * MultiPoly._raw(self.names, {tuple(rest): _ONE})
             out = out + piece
         return out
 
@@ -344,8 +352,8 @@ class MultiPoly:
         if len(point) != len(self.names):
             raise DomainError(f"point {point!r} does not match the ring {self.names}")
         if not self.terms:
-            return _ZERO
-        xs = [x if isinstance(x, int) else _as_fraction(x) for x in point]
+            return Fraction(0)
+        xs = [_exact(x) for x in point]
         den = lcm(*(x.denominator for x in xs))
         nums = [x.numerator * (den // x.denominator) for x in xs]
         cden = lcm(*(c.denominator for c in self.terms.values()))
@@ -369,7 +377,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             d = sum(e[j] for j in idx)
             parts.setdefault(d, {})[e] = c
-        return {d: MultiPoly(self.names, t) for d, t in sorted(parts.items())}
+        return {d: MultiPoly._raw(self.names, t) for d, t in sorted(parts.items())}
 
     # --- content / primitive part ---------------------------------------------
 
@@ -467,7 +475,7 @@ def embed(f: MultiPoly, names) -> MultiPoly:
         for p, ei in zip(pos, e):
             e2[p] = ei
         out[tuple(e2)] = c
-    return MultiPoly(names, out)
+    return MultiPoly._raw(names, out)
 
 
 def restrict(f: MultiPoly, names) -> MultiPoly:
@@ -483,7 +491,7 @@ def restrict(f: MultiPoly, names) -> MultiPoly:
     out = {}
     for e, c in f.terms.items():
         out[tuple(e[i] if i is not None else 0 for i in keep)] = c
-    return MultiPoly(names, out)
+    return MultiPoly._raw(names, out)
 
 
 def pivot_substitution(l: MultiPoly):
@@ -491,7 +499,7 @@ def pivot_substitution(l: MultiPoly):
     leading variable, the first one with a nonzero coefficient."""
     e, c = l.leading_term()
     v = l.names[e.index(1)]
-    return {v: MultiPoly.variable(v, l.names) - l * (1 / c)}
+    return {v: MultiPoly.variable(v, l.names) - l * Fraction(1, c)}
 
 
 def coefficients_in(f: MultiPoly, coeff_vars):
@@ -506,7 +514,7 @@ def coefficients_in(f: MultiPoly, coeff_vars):
         outer = tuple(e[i] for i in oidx)
         inner = tuple(e[i] for i in cidx)
         groups.setdefault(outer, {})[inner] = c
-    return {k: MultiPoly(coeff_vars, t) for k, t in groups.items()}
+    return {k: MultiPoly._raw(coeff_vars, t) for k, t in groups.items()}
 
 
 # --- binary forms -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Guards against regrowth and against checks that vanish under python -O.
 
 Every command-line option must be read by its command's handler, every span
-target of ``bench/tracing.py`` must resolve, and every internal check must
-raise AssertionError explicitly rather than by an ``assert`` statement.
+target of ``bench/tracing.py`` must resolve, every internal check must raise
+AssertionError explicitly rather than by an ``assert`` statement, and only
+``MultiPoly._raw`` may build a polynomial without ``MultiPoly.__init__``.
 """
 
 import argparse
@@ -67,6 +68,24 @@ def test_no_internal_check_is_an_assert_statement():
     bare = [f"{p.name}:{node.lineno}" for p in sorted(SRC.glob("*.py"))
             for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
     assert bare == []
+
+
+def _new_calls(tree):
+    return {(n.lineno, n.col_offset) for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__new__"}
+
+
+def test_new_is_called_only_in_multipoly_raw():
+    # a polynomial skips the validation of MultiPoly.__init__ only through
+    # MultiPoly._raw, whose callers hand it a new dict of clean terms
+    stray = []
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        raw = set().union(*(_new_calls(f) for f in ast.walk(tree)
+                            if isinstance(f, ast.FunctionDef) and f.name == "_raw"))
+        stray += [f"{p.name}:{line}" for line, _ in sorted(_new_calls(tree) - raw)]
+    assert stray == []
 
 
 # Each check breaks one certified identity from outside and must still raise

@@ -127,6 +127,13 @@ def test_bound_evaluator():
         bound_evaluator("conics-rational", {"B": 2}, None)
 
 
+@pytest.mark.parametrize("missing", ["B", "n", "delta"])
+def test_bound_evaluator_names_a_missing_parameter(missing):
+    params = {k: v for k, v in {"B": 2, "n": 3, "delta": 3}.items() if k != missing}
+    with pytest.raises(ConfigError, match=f"^missing parameter {missing}$"):
+        bound_evaluator("projective-curve", params, ExternalConstants())
+
+
 def test_bound_evaluator_every_kind():
     # n = 3, delta = 3, with the default constants and with b1 = 3, where the
     # composite constant C4(3, 2, 3) of the integral conic bound turns >= 0

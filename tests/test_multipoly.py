@@ -13,8 +13,8 @@ from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank
 from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, int_dtype, int_eval,
                                   iroot, essential_variable_count, gcd_binary_forms,
-                                  macaulay_resultant, restrict, sylvester_resultant,
-                                  sylvester_rows)
+                                  macaulay_resultant, pivot_substitution, restrict,
+                                  sylvester_resultant, sylvester_rows)
 from test_linalg import fraction_solve
 
 T = ("T0", "T1", "T2", "T3")
@@ -478,7 +478,7 @@ def divide_by_max(f, g):
         te = tuple(a - b for a, b in zip(re, ge))
         if min(te) < 0:
             return None, MultiPoly(f.names, r)
-        tc = r[re] / g.terms[ge]
+        tc = Fraction(r[re]) / g.terms[ge]
         q[te] = q.get(te, 0) + tc
         for e2, c2 in g.terms.items():
             e = tuple(x + y for x, y in zip(te, e2))
@@ -513,6 +513,78 @@ def test_exact_divide_matches_max_scan(case):
         with pytest.raises(NonDivisibleError) as ei:
             f.exact_divide(g)
         assert ei.value.remainder == want_r
+
+
+def stored(value):
+    """``value`` (a MultiPoly, or a tuple or dict of them), after checking that
+    every coefficient is a nonzero int or a Fraction of denominator > 1."""
+    polys = value.values() if isinstance(value, dict) else \
+        value if isinstance(value, tuple) else [value]
+    for p in polys:
+        if isinstance(p, MultiPoly):
+            for c in p.terms.values():
+                assert c != 0 and (type(c) is int
+                                   or type(c) is Fraction and c.denominator > 1), c
+    return value
+
+
+def as_fractions(p):
+    """p with every coefficient forced to a Fraction, integral ones too."""
+    return MultiPoly._raw(p.names, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+def divide(f, g):
+    try:
+        return f.exact_divide(g)
+    except NonDivisibleError as exc:
+        return "remainder", exc.remainder
+
+
+# each takes (f, g, f * g + noise, scalar c, variable v, linear form l)
+OPERATIONS = {
+    "parse": lambda f, g, h, c, v, l: MultiPoly.parse(str(f), f.names),
+    "add": lambda f, g, h, c, v, l: f + g,
+    "sub": lambda f, g, h, c, v, l: f - g,
+    "mul": lambda f, g, h, c, v, l: f * g,
+    "scalar": lambda f, g, h, c, v, l: (c * f, f * c, f + c, f - c),
+    "pow": lambda f, g, h, c, v, l: f ** 3,
+    "exact_divide": lambda f, g, h, c, v, l: divide(h, g) if g else h,
+    "partial": lambda f, g, h, c, v, l: f.partial(v),
+    "substitute": lambda f, g, h, c, v, l: (f.substitute({v: g}), f.substitute({v: c})),
+    "restrict/embed": lambda f, g, h, c, v, l: (
+        embed(f, f.names + ("U",)), restrict(embed(f, f.names + ("U",)), f.names)),
+    "rational_content": lambda f, g, h, c, v, l: f.rational_content() if f else f,
+    "pivot_substitution": lambda f, g, h, c, v, l: pivot_substitution(l),
+}
+
+coefficients = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def operands(draw):
+    nv = draw(st.integers(1, 3))
+    names = T[:nv]
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 3)] * nv), coefficients,
+                           max_size=6).map(lambda t: MultiPoly(names, t))
+    f, g, noise = draw(poly), draw(poly), draw(st.one_of(st.just(MultiPoly.zero(names)), poly))
+    linear = draw(st.lists(coefficients, min_size=nv, max_size=nv).filter(any))
+    l = MultiPoly(names, {tuple(int(i == j) for i in range(nv)): a
+                          for j, a in enumerate(linear)})
+    return f, g, f * g + noise, draw(coefficients), draw(st.sampled_from(names)), l
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(operands())
+def test_int_coefficients_match_fraction_coefficients(case):
+    # a coefficient is stored as an int when integral and never as a float,
+    # and each result equals the one computed with every coefficient a Fraction
+    f, g, h, c, v, l = stored(case)
+    forced = tuple(as_fractions(x) for x in (f, g, h)) + (Fraction(c), v, as_fractions(l))
+    for name, op in OPERATIONS.items():
+        assert stored(op(f, g, h, c, v, l)) == op(*forced), name
+    point = [Fraction(k + 1, 2) for k in range(len(f.names))]
+    assert type(f.evaluate(point)) is Fraction and type(f.evaluate([1] * len(point))) is Fraction
 
 
 def test_iroot_is_the_floor_of_the_root():
