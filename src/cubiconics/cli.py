@@ -77,9 +77,7 @@ def _emit(report: ExperimentReport, args) -> None:
 def _surface_pipeline(args):
     forms, names = load_forms(args.surface, T4)
     surface = cc.CubicSurface.make(forms[0])
-    classification = cc.classify_cubic(surface.f)
-    lines = cc.find_lines(surface, args.line_height)
-    return surface, classification, lines
+    return surface, cc.find_lines(surface, args.line_height)
 
 
 def cmd_primes(args):
@@ -126,10 +124,10 @@ def _top_part_irreducibility(surface):
 
 
 def cmd_classify(args):
-    surface, classification, lines = _surface_pipeline(args)
+    surface, lines = _surface_pipeline(args)
     return {
         "surface": str(surface.f),
-        "classification": classification,
+        "classification": cc.classify_cubic(surface.f),
         "lines_found": [{"u": str(l.line.u), "v": str(l.line.v),
                          "plucker": list(l.line.plucker)} for l in lines],
         "top_part_irreducibility": _top_part_irreducibility(surface),
@@ -163,8 +161,8 @@ def cmd_cayley(args):
 
 
 def cmd_pencil(args):
-    surface, classification, lines = _surface_pipeline(args)
-    if classification["non_ruled"] != "certified":
+    surface, lines = _surface_pipeline(args)
+    if cc.classify_cubic(surface.f)["non_ruled"] != "certified":
         raise PropertyViolationError(
             "pencil analysis requires a certified non-ruled surface")
     if not lines:
@@ -192,7 +190,7 @@ def cmd_pencil(args):
 
 
 def cmd_census(args):
-    surface, classification, lines = _surface_pipeline(args)
+    surface, lines = _surface_pipeline(args)
     if not lines:
         raise ConfigError("no rational line found at this height bound")
     pencil = cc.conic_family(surface, lines[0])
@@ -238,7 +236,8 @@ def cmd_aux(args):
 
 
 def cmd_verify(args):
-    surface, classification, lines = _surface_pipeline(args)
+    surface, lines = _surface_pipeline(args)
+    classification = cc.classify_cubic(surface.f)
     constants = _constants(args)
     B_list = _parse_blist(args.B)
     out = {"classification": classification}

@@ -2,26 +2,26 @@
 
 Places of Q are the rational primes plus one archimedean place.  Everything
 with number-theoretic content (sieves, prime sums, Bertrand windows) lives
-here, and so does the one finite-field layer: reading a rational form mod p,
-evaluating it over F_p or GF(p^e), and the linear-factor search.  The
-prime-distribution functions are the log-weighted sums the bound formulas
-consume.
+here, and so does the one finite-field layer: reading a rational form mod p
+and evaluating it over F_p or GF(p^e).  Every finite-field question is
+decided by one rule: substitute symbolically over Q once, reduce the
+coefficient polynomials of the result mod p, and evaluate them at all
+candidates or points at once.  The prime-distribution functions are the
+log-weighted sums the bound formulas consume.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, coefficients_in, embed
 
 DEFAULT_FF_BUDGET = 4_000_000
-FF_BLOCK = 1 << 13  # candidate coordinates per block of the linear-factor search
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,8 @@ def mertens_check(x_max: float, step: float = 1.0) -> dict:
         raise DomainError("x_max must be >= 2")
     if step <= 0:
         raise DomainError("step must be positive")
-    table = primes_up_to(int(math.floor(x_max)))
-    ps = np.array(table.primes, dtype=np.float64)
-    if len(ps) == 0:
-        ps = np.array([np.inf])
-        cum = np.array([0.0])
-    else:
-        cum = np.cumsum(np.log(ps) / ps)
+    ps = np.array(primes_up_to(int(math.floor(x_max))).primes, dtype=np.float64)
+    cum = np.cumsum(np.log(ps) / ps)
     xs = np.arange(2.0, x_max + step / 2, step)
     if xs[-1] < x_max:
         xs = np.append(xs, x_max)
@@ -161,7 +156,7 @@ def _find_irreducible(p: int, e: int):
 
 
 class GFContext:
-    """GF(p^e) with element encoding sum(c_i p^i) and full numpy add/mul/neg
+    """GF(p^e) with element encoding sum(c_i p^i) and full numpy add/mul
     tables, in the smallest unsigned dtype that holds q - 1, for gathers
     over arrays of encoded elements.
 
@@ -189,7 +184,6 @@ class GFContext:
                 prod[k - e + i] -= prod[k] * self.modulus[i]
         self.add = self._encode([np.add.outer(x, x) for x in digits])
         self.mul = self._encode(prod[:e])
-        self.neg = self._encode([-x for x in digits])
 
     def _encode(self, digits):
         """The read-only table of encoded elements with the given digit
@@ -268,22 +262,44 @@ class LinearFactor:
     coeffs: tuple
 
 
+def parameter_ring(f: MultiPoly, nlocal: int = 0):
+    """f embedded in a ring that adds one parameter c_k per variable x_k of
+    f and ``nlocal`` local variables u_k, named longer than any variable of
+    f so that none collides with one: (F, c, u), c and u tuples of
+    variables of F."""
+    pre = "_" * (1 + max(map(len, f.names), default=0))
+    c = tuple(f"{pre}c{k}" for k in range(len(f.names)))
+    u = tuple(f"{pre}u{k}" for k in range(nlocal))
+    names = f.names + c + u
+    return (embed(f, names), tuple(MultiPoly.variable(v, names) for v in c),
+            tuple(MultiPoly.variable(v, names) for v in u))
+
+
+@functools.lru_cache(maxsize=16)
+def _hyperplane_restrictions(f: MultiPoly):
+    """For each pivot i, the coefficients (in the x_j, j != i) of
+    f(x_i = -sum_{j>i} c_j x_j), as polynomials over Q in the parameters
+    c_0..c_{n-1}; bounded like ``gf_context``."""
+    F, c, _ = parameter_ring(f)
+    x = [MultiPoly.variable(v, F.names) for v in f.names]
+    out = []
+    for i, v in enumerate(f.names):
+        ell = sum((c[j] * x[j] for j in range(i + 1, len(x))), MultiPoly.zero(F.names))
+        g = F.substitute({v: -ell})
+        out.append(tuple(coefficients_in(g, F.names[len(x):]).values()))
+    return tuple(out)
+
+
 def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1):
     """All linear forms over GF(p^extension_degree) dividing f (up to scalar),
     in the order of ``proj_points``.  An empty result certifies that no
     linear factor exists over that field.
 
-    A candidate ell divides f exactly when f vanishes on the hyperplane
-    ell = 0.  There f restricts to a polynomial of degree <= d (the degree
-    of f mod p) in each of the other coordinates, and such a polynomial that
-    vanishes on a grid S^(nvars-1) with |S| = d + 1 is zero (Alon's
-    Combinatorial Nullstellensatz).  S is {0..d} in the smallest GF(p^E)
-    containing GF(p^e), E <= 3, with more than d elements.
-
-    The candidates are taken in blocks of FF_BLOCK coordinates.  In each
-    block the grid is walked one point at a time, and each point evaluates
-    f at once on every candidate still alive, by gathers from the GF(p^E)
-    tables (``gf_eval``); a candidate whose value is nonzero is dropped.
+    A candidate ell = x_i + sum_{j>i} c_j x_j divides f exactly when
+    f(x_i = -sum_{j>i} c_j x_j) is zero, that is, when every coefficient of
+    that restriction, a polynomial over Q in the c_j computed once per f
+    and pivot i, vanishes mod p at the candidate's c.  Each coefficient is
+    evaluated at all candidates still alive at once (``gf_eval``).
     """
     nvars = len(f.names)
     e = extension_degree
@@ -292,45 +308,14 @@ def ff_factor_linear(f: MultiPoly, p: int, extension_degree: int = 1):
         raise BudgetError(
             f"p^(e*nvars) = {work} exceeds budget {DEFAULT_FF_BUDGET}", partial=None)
     ctx = gf_context(p, e)
-    red = reduce_mod_p(f, p)
-    if not red:
+    if not reduce_mod_p(f, p):
         raise DomainError("form vanishes identically mod p")
-    d = max(map(sum, red))
-    E = next((E for E in range(e, 4, e) if p ** E > d), None)
-    if E is None:
-        raise DomainError(f"no field GF({p}^E), E <= 3, has more than {d} elements")
-    grid_ctx = gf_context(p, E)
     cands = proj_points(ctx.q, nvars)
-    step = max(1, FF_BLOCK // nvars)
-    found = []
-    for s in range(0, len(cands), step):
-        found += _vanishing_hyperplanes(cands[s:s + step], red, d, grid_ctx).tolist()
-    return [LinearFactor(p, e, tuple(ell)) for ell in found], ctx
-
-
-def _vanishing_hyperplanes(cands, red, d, grid_ctx):
-    """The rows ell of ``cands`` (each with a leading 1) such that the form
-    ``red`` vanishes at every point of ell = 0 with free coordinates in
-    {0..d} of GF(p^E), evaluated on all rows still alive at once; elements
-    of GF(p^e) keep their codes in GF(p^E)."""
-    add, mul, neg = grid_ctx.add, grid_ctx.mul, grid_ctx.neg
-    nvars = cands.shape[1]
     piv = np.argmax(cands != 0, axis=1)
-    # on ell = 0, x_piv = sum_{j > piv} -c_j x_j, and the other coordinates
-    # are the free grid coordinates in order
-    after = np.arange(nvars) > piv[:, None]
-    slope = np.where(after, neg[cands], 0)
-    # descending, so the origin (a zero of every form without a constant
-    # term) comes last
-    for free in itertools.product(range(d, -1, -1), repeat=nvars - 1):
-        if not len(cands):
-            break
-        pt = np.where(after, np.array((0,) + free, dtype=add.dtype),
-                      np.array(free + (0,), dtype=add.dtype))
-        x = np.zeros(len(cands), dtype=add.dtype)
-        for j in range(nvars):
-            x = add[x, mul[slope[:, j], pt[:, j]]]
-        pt[np.arange(len(cands)), piv] = x
-        alive = gf_eval(red, pt, grid_ctx) == 0
-        cands, piv, after, slope = cands[alive], piv[alive], after[alive], slope[alive]
-    return cands
+    found = []
+    for i, coeffs in enumerate(_hyperplane_restrictions(f)):
+        alive = cands[piv == i]
+        for g in coeffs:
+            alive = alive[gf_eval(reduce_mod_p(g, p), alive, ctx) == 0]
+        found += alive.tolist()
+    return [LinearFactor(p, e, tuple(ell)) for ell in found], ctx

@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError, ConfigError, DegenerateReductionError, DomainError
 from .exactarith import (factorize, ff_factor_linear, gf_context, gf_eval,
-                         proj_points, reduce_mod_p)
+                         parameter_ring, proj_points, reduce_mod_p)
 from .heights import harmonic
 from .linalg import det, rank, rank_mod_p
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, coefficients_in
 
 
 @dataclass
@@ -145,8 +147,11 @@ def geometric_hs_window(d: int, delta: int, D: int):
 def reduction_point_census(f: MultiPoly, p: int):
     """Points of the plane curve f = 0 over F_p with multiplicities.
 
-    Multiplicity at a point is the order of the lowest nonvanishing jet of
-    the dehomogenized local expansion.  Returns (n, per-point list) where n
+    A point with first nonzero coordinate x_i = 1 has multiplicity the least
+    (u, v)-degree of f(x_i = 1, a + u, b + v) with a coefficient nonzero
+    mod p at its other coordinates (a, b).  Those coefficients are
+    polynomials over Q in (a, b), computed once per chart i and evaluated at
+    every point of the chart at once.  Returns (n, per-point list) where n
     sums the multiplicities.
     """
     if len(f.names) != 3:
@@ -156,40 +161,24 @@ def reduction_point_census(f: MultiPoly, p: int):
     red = reduce_mod_p(f, p)
     if not red:
         raise DegenerateReductionError(f"form vanishes identically mod {p}")
+    ctx = gf_context(p, 1)
     pts = proj_points(p, 3)
-    points = map(tuple, pts[gf_eval(red, pts, gf_context(p, 1)) == 0].tolist())
-
+    pts = pts[gf_eval(red, pts, ctx) == 0]
+    lead = np.argmax(pts != 0, axis=1)
+    F, c, u = parameter_ring(f, 3)
     per_point = []
-    n = 0
-    for pt in points:
-        mu = _jet_multiplicity(red, pt, p)
-        per_point.append({"point": pt, "mu": mu})
-        n += mu
-    return n, per_point
-
-
-def _jet_multiplicity(red, pt, p: int) -> int:
-    """Order of vanishing of the dehomogenized local expansion at pt."""
-    i = next(k for k, x in enumerate(pt) if x != 0)  # chart coordinate, value 1
-    others = [k for k in range(3) if k != i]
-    # local coordinates u,v: x_{others[0]} = a + u, x_{others[1]} = b + v, x_i = 1
-    a, b = pt[others[0]], pt[others[1]]
-    local = {}
-    for e, c in red.items():
-        # expand (a+u)^e0 (b+v)^e1 with binomials mod p
-        e0, e1 = e[others[0]], e[others[1]]
-        for k0 in range(e0 + 1):
-            c0 = math.comb(e0, k0) * pow(a, e0 - k0, p) % p
-            if c0 == 0:
-                continue
-            for k1 in range(e1 + 1):
-                c1 = math.comb(e1, k1) * pow(b, e1 - k1, p) % p
-                if c1 == 0:
-                    continue
-                key = (k0, k1)
-                local[key] = (local.get(key, 0) + c * c0 * c1) % p
-    degs = [k0 + k1 for (k0, k1), c in local.items() if c % p]
-    return min(degs) if degs else 0
+    for i in range(3):
+        chart = pts[lead == i]
+        local = F.substitute({v: 1 if k == i else c[k] + u[k]
+                              for k, v in enumerate(f.names)})
+        # descending degree, so each point keeps its least nonzero degree
+        mu = np.zeros(len(chart), dtype=np.int64)
+        for exps, g in sorted(coefficients_in(local, F.names[3:6]).items(),
+                              key=lambda kv: -sum(kv[0])):
+            mu[gf_eval(reduce_mod_p(g, p), chart, ctx) != 0] = sum(exps)
+        per_point += [{"point": tuple(pt), "mu": m}
+                      for pt, m in zip(chart.tolist(), mu.tolist())]
+    return sum(x["mu"] for x in per_point), per_point
 
 
 def gram_matrix_doubled(q: MultiPoly):
@@ -222,17 +211,14 @@ def _first_nonzero_minor3(A):
 
 def is_geometrically_integral_quadratic(q: MultiPoly, p: int | None = None) -> bool:
     """Geometric integrality of a quadratic form: over Q (or mod odd p) by the
-    rank >= 3 criterion; in characteristic 2 by direct linear-factor search
-    over F_2 and F_4."""
+    rank >= 3 criterion; in characteristic 2 by one direct linear-factor
+    search over F_4, which contains F_2 (a quadric with a linear factor over
+    F_2-bar has both factors over F_4)."""
     if p is None:
         A = gram_matrix_doubled(q)
         return rank(A, len(A)) >= 3
     if p == 2:
-        for e in (1, 2):
-            factors, _ = ff_factor_linear(q, 2, e)
-            if factors:
-                return False
-        return True
+        return not ff_factor_linear(q, 2, 2)[0]
     return rank_mod_p(gram_matrix_doubled(q), p)[0] >= 3
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -13,7 +15,7 @@ from cubiconics.exactarith import (GFContext, bertrand_prime, factorize,
                                    prime_sum_over_divisors, primes_up_to,
                                    proj_points, reduce_mod_p, theta_psi_phi)
 from cubiconics.hilbert_samuel import is_geometrically_integral_quadratic
-from cubiconics.multipoly import MultiPoly, monomials_of_degree
+from cubiconics.multipoly import MultiPoly, monomials_of_degree, restrict
 
 
 def naive_primes(n):
@@ -240,7 +242,8 @@ def test_ff_factor_linear_conjugate_pair_only_over_the_square_extension(p):
     f = MultiPoly.parse("T0^2*T2 + T1^2*T2", names)
     assert [x.coeffs for x in ff_factor_linear(f, p, 1)[0]] == [(0, 0, 1)]
     factors, ctx = ff_factor_linear(f, p, 2)
-    roots = [a for a in range(ctx.q) if ctx.mul[a, a] == ctx.neg[1]]
+    # F_p elements keep their codes in GF(p^2), so -1 is p - 1
+    roots = [a for a in range(ctx.q) if ctx.mul[a, a] == p - 1]
     assert len(roots) == 2
     assert [x.coeffs for x in factors] == [(1, a, 0) for a in roots] + [(0, 0, 1)]
 
@@ -265,15 +268,79 @@ def test_ff_factor_linear_plucker_quadrics_in_characteristic_2():
     assert not is_geometrically_integral_quadratic(conj, 2)
 
 
+# sha256 of the JSON list of factor codes (or "budget") for the 14 corpus top
+# parts f(0, T1, T2, T3) x p in (2, 3, 5, 7) x e in (1, 2, 3), taken before
+# the search decided divisibility by symbolic restriction
+CORPUS_TOP_PART_FACTORS = "7e5aaf7802454bb21ae7d3484b0799c0c1e714f454532f01a832c0b0ded5aa7f"
+
+
+def test_ff_factor_linear_corpus_top_parts_digest(corpus_forms):
+    out = []
+    for f in corpus_forms:
+        top = restrict(f.substitute({"T0": 0}), ("T1", "T2", "T3"))
+        for p in (2, 3, 5, 7):
+            for e in (1, 2, 3):
+                try:
+                    out.append([x.coeffs for x in ff_factor_linear(top, p, e)[0]])
+                except BudgetError:
+                    out.append("budget")
+    assert len(out) == 14 * 12 and out.count("budget") == 14
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == CORPUS_TOP_PART_FACTORS
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ff_factor_linear_frobenius_consistency(p):
+    # F_p elements keep their codes in GF(p^e): the factors over GF(p^e)
+    # with every code below p are exactly the factors over F_p
+    rng = random.Random(300 + p)
+    for nvars in (2, 3):
+        names = tuple(f"T{i}" for i in range(nvars))
+        for make in (_random_cubic, _product_of_linear_forms):
+            f = make(rng, names)
+            while not reduce_mod_p(f, p):
+                f = make(rng, names)
+            base = [x.coeffs for x in ff_factor_linear(f, p, 1)[0]]
+            for e in (2, 3):
+                ext = [x.coeffs for x in ff_factor_linear(f, p, e)[0]]
+                assert [c for c in ext if max(c) < p] == base, (str(f), p, e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cubic_with_a_factor_over_the_square_extension_has_one_over_f_p(p):
+    # a linear factor ell over F_{p^2} is Frobenius-stable, or ell times its
+    # conjugate and the linear cofactor are both defined over F_p
+    rng = random.Random(400 + p)
+    names = ("T0", "T1", "T2")
+    x = [MultiPoly.variable(v, names) for v in names]
+    nonsquare = next(n for n in range(1, p) if pow(n, (p - 1) // 2, p) != 1) if p > 2 else 1
+    # T0^2 + T0 T1 + T1^2 over F_2, T0^2 - n T1^2 otherwise: a conjugate pair
+    pair = (x[0] * x[0] + x[0] * x[1] + x[1] * x[1] if p == 2
+            else x[0] * x[0] - x[1] * x[1] * nonsquare)
+    split = 0
+    for k in range(30):
+        if k % 3 == 0:
+            f = pair * _linear_form([rng.randint(-2, 2) for _ in names], names)
+        elif k % 3 == 1:
+            f = _product_of_linear_forms(rng, names)
+        else:
+            f = _random_cubic(rng, names)
+        if not reduce_mod_p(f, p):
+            continue
+        if ff_factor_linear(f, p, 2)[0]:
+            split += 1
+            assert ff_factor_linear(f, p, 1)[0], (str(f), p)
+    assert split >= 10
+
+
 def test_ff_factor_linear_domain_errors():
     B2 = ("T0", "T1")
     with pytest.raises(DomainError):
         ff_factor_linear(MultiPoly.parse("5*T0^2 + 5*T1^2", B2), 5, 1)
     with pytest.raises(DomainError):
         ff_factor_linear(MultiPoly.parse("1/3*T0^2 + T1^2", B2), 3, 1)
-    # degree 8 needs a grid of 9 values; GF(8) is the largest field of 2^E, E <= 3
-    with pytest.raises(DomainError):
-        ff_factor_linear(MultiPoly.parse("T0^8 + T1^8", B2), 2, 1)
+    # any degree is searched: T0^8 + T1^8 = (T0 + T1)^8 mod 2
+    factors, _ = ff_factor_linear(MultiPoly.parse("T0^8 + T1^8", B2), 2, 1)
+    assert [x.coeffs for x in factors] == [(1, 1)]
 
 
 def test_reduce_and_evaluate_mod_p():
@@ -312,12 +379,13 @@ def test_gf_eval_matches_evaluate(p):
 
 def test_gf_context_tables():
     ctx = GFContext(5, 2)
-    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+    add, mul = ctx.add, ctx.mul
     a = np.arange(ctx.q)
-    # every nonzero element has an inverse, and the tables satisfy the
-    # field laws on all triples
+    # every element has an additive and every nonzero element a
+    # multiplicative inverse, and the tables satisfy the field laws on all
+    # triples
+    assert all(0 in add[x] for x in a)
     assert all(1 in mul[x] for x in a[1:])
-    assert (add[a, neg] == 0).all()
     x, y, z = (g.ravel() for g in np.indices((ctx.q,) * 3))
     assert (mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]).all()
     assert (mul[x, mul[y, z]] == mul[mul[x, y], z]).all()
@@ -338,8 +406,7 @@ def test_gf_context_cached_tables(p, e):
     assert ctx_from_search is ctx
     fresh = GFContext(p, e)
     assert all(np.array_equal(t, u) and t.dtype == u.dtype == np.uint8
-               for t, u in zip((ctx.add, ctx.mul, ctx.neg),
-                               (fresh.add, fresh.mul, fresh.neg)))
+               for t, u in zip((ctx.add, ctx.mul), (fresh.add, fresh.mul)))
     # against digit arithmetic done here, for both orders of every pair
     mod = ctx.modulus
 
@@ -361,7 +428,6 @@ def test_gf_context_cached_tables(p, e):
 
     for a in range(ctx.q):
         da = decode(a)
-        assert ctx.neg[a] == encode([-x for x in da])
         for b in range(ctx.q):
             db = decode(b)
             assert ctx.add[a, b] == encode([x + y for x, y in zip(da, db)])

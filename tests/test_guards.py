@@ -1,9 +1,10 @@
 """Guards against regrowth and against checks that vanish under python -O.
 
 Every command-line option must be read by its command's handler, every span
-target of ``bench/tracing.py`` must resolve, every internal check must raise
-AssertionError explicitly rather than by an ``assert`` statement, and only
-``MultiPoly._raw`` may build a polynomial without ``MultiPoly.__init__``.
+target of ``bench/tracing.py`` must resolve, every module constant must be
+read, every internal check must raise AssertionError explicitly rather than
+by an ``assert`` statement, and only ``MultiPoly._raw`` may build a
+polynomial without ``MultiPoly.__init__``.
 """
 
 import argparse
@@ -86,6 +87,21 @@ def test_new_is_called_only_in_multipoly_raw():
                             if isinstance(f, ast.FunctionDef) and f.name == "_raw"))
         stray += [f"{p.name}:{line}" for line, _ in sorted(_new_calls(tree) - raw)]
     assert stray == []
+
+
+def test_every_module_constant_is_read_in_src():
+    # a knob that nothing reads any more is dead code: every module-level
+    # UPPER_CASE name must be loaded somewhere in src/ besides its assignment
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    constants = {t.id for tree in trees for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(t, ast.Name) and t.id.isupper()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    assert constants
+    assert sorted(constants - read) == []
 
 
 # Each check breaks one certified identity from outside and must still raise

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -12,7 +14,8 @@ from cubiconics.hilbert_samuel import (BOUND_KINDS, C4, C1_prime, ExternalConsta
                                        local_hs, q_lower_bound,
                                        q_lower_bound_check, q_partial_sum,
                                        q_series, reduction_point_census)
-from cubiconics.multipoly import MultiPoly
+from cubiconics.exactarith import reduce_mod_p
+from cubiconics.multipoly import MultiPoly, monomials_of_degree
 
 P2 = ("T0", "T1", "T2")
 
@@ -81,6 +84,61 @@ def test_reduction_point_census():
     assert mus[(0, 0, 1)] == 2
     with pytest.raises(DegenerateReductionError):
         reduction_point_census(MultiPoly.parse("5*T0^2 + 5*T1^2", P2), 5)
+
+
+def _jet_multiplicity(red, pt, p):
+    """Reference: order of vanishing at pt of the dehomogenized local
+    expansion, by expanding every monomial with binomials mod p."""
+    i = next(k for k, x in enumerate(pt) if x != 0)  # chart coordinate, value 1
+    others = [k for k in range(3) if k != i]
+    # local coordinates u,v: x_{others[0]} = a + u, x_{others[1]} = b + v, x_i = 1
+    a, b = pt[others[0]], pt[others[1]]
+    local = {}
+    for e, c in red.items():
+        e0, e1 = e[others[0]], e[others[1]]
+        for k0 in range(e0 + 1):
+            c0 = math.comb(e0, k0) * pow(a, e0 - k0, p) % p
+            for k1 in range(e1 + 1):
+                c1 = math.comb(e1, k1) * pow(b, e1 - k1, p) % p
+                local[k0, k1] = (local.get((k0, k1), 0) + c * c0 * c1) % p
+    return min((k0 + k1 for (k0, k1), c in local.items() if c), default=0)
+
+
+def _random_ternary(rng, d):
+    return MultiPoly(P2, {e: rng.randint(-4, 4) for e in monomials_of_degree(3, d)
+                          if rng.random() < 0.5})
+
+
+def _product_of_lines(rng, d):
+    out = MultiPoly.constant(1, P2)
+    for _ in range(d):
+        out = out * MultiPoly(P2, {tuple(int(j == i) for j in range(3)): rng.randint(-2, 2)
+                                   for i in range(3)})
+    return out
+
+
+def _canonical_plane_points(p):
+    return [(0,) * lead + (1,) + t for lead in range(3)
+            for t in itertools.product(range(p), repeat=2 - lead)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduction_point_census_matches_binomial_expansion(p):
+    rng = random.Random(500 + p)
+    for d in (1, 2, 3, 4):
+        for make in (_random_ternary, _product_of_lines):
+            for _ in range(5):
+                f = make(rng, d)
+                red = reduce_mod_p(f, p)
+                if not red:
+                    continue
+                n, pts = reduction_point_census(f, p)
+                want = [pt for pt in _canonical_plane_points(p)
+                        if f.evaluate(pt) % p == 0]
+                assert [x["point"] for x in pts] == want, (str(f), p)
+                assert [x["mu"] for x in pts] == [_jet_multiplicity(red, pt, p)
+                                                  for pt in want], (str(f), p)
+                assert n == sum(x["mu"] for x in pts)
 
 
 def test_bad_reduction_census():
