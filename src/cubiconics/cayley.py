@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import DomainError, NotFrameInvariantError
 from .heights import normalize_primitive_vector
 from .linalg import solve
-from .multipoly import (MultiPoly, coefficients_in, embed, macaulay_resultant,
+from .multipoly import (MultiPoly, coefficients_in, macaulay_resultant,
                         monomials_of_degree, restrict)
 
 T4 = ("T0", "T1", "T2", "T3")
@@ -258,7 +258,7 @@ def cycle_resultant_biform(Q: MultiPoly, ell: MultiPoly, tvars=()) -> MultiPoly:
     ell = restrict(ell, T4 + tvars)
     if ell.degree_in(T4) != 1 or not ell.is_homogeneous(T4):
         raise DomainError("plane form must be linear in T0..T3")
-    c = {e.index(1): embed(ci, ring) for e, ci in coefficients_in(ell, tvars).items()}
+    c = {e.index(1): restrict(ci, ring) for e, ci in coefficients_in(ell, tvars).items()}
     p = [MultiPoly.variable(n, ring) for n in PLUCKER]
     pi = {}
     for k, (i, j) in enumerate(_PAIRS):
@@ -266,7 +266,7 @@ def cycle_resultant_biform(Q: MultiPoly, ell: MultiPoly, tvars=()) -> MultiPoly:
         pi[j, i] = -pi[i, j]
     Y = {f"T{j}": sum((ci * pi[i, j] for i, ci in c.items() if i != j), MultiPoly.zero(ring))
          for j in range(4)}
-    QY = embed(restrict(Q, T4 + tvars), ring).substitute(Y)
+    QY = restrict(restrict(Q, T4 + tvars), ring).substitute(Y)
     out = canonical_mod_G(restrict(QY, PLUCKER + tvars))
     if out.is_zero():
         raise DomainError("curve form vanishes on the plane (degenerate cycle)")
@@ -286,8 +286,8 @@ def cayley_plane_curve_macaulay(Q: MultiPoly, ell: MultiPoly) -> PluckerForm:
     """Cross-check oracle: the same Cayley form through the full Macaulay
     resultant with two symbolic hyperplane slots."""
     names = T4 + UV
-    Qx = embed(restrict(Q, T4), names)
-    Lx = embed(restrict(ell, T4), names)
+    Qx = restrict(restrict(Q, T4), names)
+    Lx = restrict(restrict(ell, T4), names)
     h1 = sum((MultiPoly.variable(f"u{i}", names) * MultiPoly.variable(f"T{i}", names)
               for i in range(4)), MultiPoly.zero(names))
     h2 = sum((MultiPoly.variable(f"v{i}", names) * MultiPoly.variable(f"T{i}", names)

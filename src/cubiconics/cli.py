@@ -19,13 +19,12 @@ from . import cubic_conics as cc
 from .cayley import (T4, cayley_degree_parts, cayley_hypersurface,
                      cayley_plane_curve)
 from .detmethod import minimal_omega
-from .errors import (BudgetError, ConfigError, MacaulayDegenerateError, NonDivisibleError,
-                     PropertyViolationError)
+from .errors import BudgetError, ConfigError, PropertyViolationError
 from .exactarith import bertrand_prime, mertens_check, theta_psi_phi
 from .heights import height_comparison_audit, poly_height
 from .hilbert_samuel import (ExternalConstants, geometric_hs_window, local_hs,
                              q_lower_bound_check)
-from .multipoly import MultiPoly, embed, restrict
+from .multipoly import MultiPoly, restrict
 from .pointcount import (enumerate_affine, enumerate_projective,
                          integral_conics_experiment, points_on_conics_experiment)
 from .reports import ExperimentReport, tag
@@ -51,7 +50,10 @@ def load_forms(path, names=None):
 
 
 def _parse_blist(s):
-    return [int(x) for x in s.split(",") if x.strip()]
+    B_list = [int(x) for x in s.split(",") if x.strip()]
+    if not B_list:
+        raise ConfigError("empty B list")
+    return B_list
 
 
 def _constants(args):
@@ -149,7 +151,7 @@ def cmd_cayley(args):
         raise ConfigError("curve input needs the plane and the curve form")
     ell = min(forms, key=lambda f: f.total_degree())
     Q = max(forms, key=lambda f: f.total_degree())
-    psi = cayley_plane_curve(embed(Q, T4), embed(ell, T4))
+    psi = cayley_plane_curve(restrict(Q, T4), restrict(ell, T4))
     audit = height_comparison_audit(psi.poly, 3, 1, psi.degree)
     return {
         "kind": "plane-curve",
@@ -190,11 +192,11 @@ def cmd_pencil(args):
 
 
 def cmd_census(args):
+    B_list = _parse_blist(args.B)
     surface, lines = _surface_pipeline(args)
     if not lines:
         raise ConfigError("no rational line found at this height bound")
     pencil = cc.conic_family(surface, lines[0])
-    B_list = _parse_blist(args.B)
     counts = []
     details = []
     for B in B_list:
@@ -206,8 +208,6 @@ def cmd_census(args):
 
 def cmd_count(args):
     B_list = _parse_blist(args.B)
-    if not B_list:
-        raise ConfigError("empty B list")
     Bmax = max(B_list)
     forms, names = load_forms(args.curve or args.surface)
     if args.mode == "affine":
@@ -236,10 +236,10 @@ def cmd_aux(args):
 
 
 def cmd_verify(args):
+    B_list = _parse_blist(args.B)
     surface, lines = _surface_pipeline(args)
     classification = cc.classify_cubic(surface.f)
     constants = _constants(args)
-    B_list = _parse_blist(args.B)
     out = {"classification": classification}
     if classification["non_ruled"] != "certified":
         raise PropertyViolationError("verification requires a non-ruled certificate")
@@ -357,15 +357,19 @@ def main(argv=None) -> int:
     except PropertyViolationError as exc:
         sys.stderr.write(f"property violation: {exc}\n")
         return 1
-    except (AssertionError, NonDivisibleError, MacaulayDegenerateError) as exc:
-        sys.stderr.write(f"internal check failed: {type(exc).__name__}: {exc}\n")
-        return 4
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 2
     except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 3
+    except Exception as exc:
+        # any other failure is the library's own, never a falsified property;
+        # the message is the exception's arguments, so a KeyError reads as
+        # its key rather than as the key's repr
+        message = " ".join(map(str, exc.args))
+        sys.stderr.write(f"internal check failed: {type(exc).__name__}: {message}\n")
+        return 4
     config = {k: v for k, v in vars(args).items()
               if k not in ("func",) and v is not None}
     inputs = {k: config.get(k) for k in ("surface", "curve", "B") if config.get(k)}

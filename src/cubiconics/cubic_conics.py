@@ -30,7 +30,7 @@ from .errors import (BudgetError, DomainError, PropertyViolationError)
 from .exactarith import (factorize, ff_factor_linear, gf_context, gf_eval,
                          proj_points, reduce_mod_p)
 from .multipoly import (CHUNK_FIBERS, MultiPoly, absmax, bezout_cutoff, binary_heights,
-                        binary_row, bounded_height_pairs, coefficients_in, embed,
+                        binary_row, bounded_height_pairs, coefficients_in,
                         essential_variable_count, gcd_binary_forms, int_dtype, int_eval,
                         monomials_of_degree, pivot_substitution, restrict,
                         sylvester_resultant)
@@ -316,8 +316,8 @@ def residual_conic(surface: CubicSurface, rline: RationalLine, t=None):
     f, L = surface.f, rline.line
     A, B = rline.cofactor_u, rline.cofactor_v
     names = T4 + TPAR
-    fx, Ax, Bx = embed(f, names), embed(A, names), embed(B, names)
-    l1x, l2x = embed(L.u, names), embed(L.v, names)
+    fx, Ax, Bx = restrict(f, names), restrict(A, names), restrict(B, names)
+    l1x, l2x = restrict(L.u, names), restrict(L.v, names)
     t1 = MultiPoly.variable("t1", names)
     t2 = MultiPoly.variable("t2", names)
     ell_t = t1 * l1x + t2 * l2x
@@ -399,7 +399,7 @@ def conic_family(surface: CubicSurface, rline: RationalLine) -> ConicPencil:
     # polynomial content in the pencil parameters
     coeffs = list(coefficients_in(conic, TPAR).values())
     b_content = gcd_binary_forms(coeffs, TPAR)
-    psi = PluckerForm.make(conic.exact_divide(embed(b_content, conic.names)))
+    psi = PluckerForm.make(conic.exact_divide(restrict(b_content, conic.names)))
     if psi.degree != 2:
         raise PropertyViolationError(
             f"conic Cayley family has Pluecker degree {psi.degree}, expected 2")

@@ -79,8 +79,8 @@ from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
 from .hilbert_samuel import ExternalConstants, bound_evaluator
 from .linalg import _ROW_PRIME, exact_kernel, rank_mod_p
-from .multipoly import (MultiPoly, embed, gcd_binary_forms,
-                        monomials_of_degree, pivot_substitution, restrict)
+from .multipoly import (MultiPoly, gcd_binary_forms, monomials_of_degree,
+                        pivot_substitution, restrict)
 from .pointcount import enumerate_projective, homogenize
 
 # largest degree minimal_omega scans
@@ -178,7 +178,7 @@ def _certify_squarefree(f):
     s, u = (MultiPoly.variable(n, ring) for n in ring[-2:])
     rng = random.Random(1)
     for _ in range(_SQUAREFREE_LINES):
-        g = embed(f, ring).substitute({
+        g = restrict(f, ring).substitute({
             n: rng.randint(-9, 9) * u + rng.randint(-9, 9) * s for n in f.names})
         partials = [restrict(g.partial(n), ring[-2:]) for n in ring[-2:]]
         if any(partials) and gcd_binary_forms(partials, ring[-2:]).total_degree() == 0:

@@ -1,8 +1,10 @@
 """Exception taxonomy shared by all modules.
 
 Exit-code mapping used by the command line driver:
-  PropertyViolationError -> 1, BudgetError -> 2, ConfigError -> 3, and a
-  failed internal check (AssertionError, NonDivisibleError, MacaulayDegenerateError) -> 4.
+  PropertyViolationError -> 1, BudgetError -> 2, ConfigError (and any other
+  ValueError or OSError) -> 3, and every other exception, a failed internal
+  check such as AssertionError, NonDivisibleError or MacaulayDegenerateError,
+  -> 4.  Only a PropertyViolationError exits 1.
 """
 
 

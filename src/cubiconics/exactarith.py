@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .multipoly import MultiPoly, coefficients_in, embed
+from .multipoly import MultiPoly, coefficients_in, restrict
 
 DEFAULT_FF_BUDGET = 4_000_000
 
@@ -271,7 +271,7 @@ def parameter_ring(f: MultiPoly, nlocal: int = 0):
     c = tuple(f"{pre}c{k}" for k in range(len(f.names)))
     u = tuple(f"{pre}u{k}" for k in range(nlocal))
     names = f.names + c + u
-    return (embed(f, names), tuple(MultiPoly.variable(v, names) for v in c),
+    return (restrict(f, names), tuple(MultiPoly.variable(v, names) for v in c),
             tuple(MultiPoly.variable(v, names) for v in u))
 
 

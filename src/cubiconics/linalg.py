@@ -1,7 +1,10 @@
 """Exact linear algebra over Z and Q, and ranks modulo a prime.
 
 Every exact routine reads one fraction-free echelon form of an integer
-matrix (Bareiss, Math. Comp. 22 (1968)).  Rational rows are first scaled to
+matrix (Bareiss, Math. Comp. 22 (1968)).  The same elimination runs on
+polynomial entries, where it gives ``multipoly.det_poly``: Bareiss's update
+is the same over Z and over Q[x], only the exact division and the measure
+of a pivot's size differ.  Rational rows are first scaled to
 integers, which changes neither the row space nor the pivot columns, and
 every division in the elimination is exact, so ranks, pivot columns,
 kernels, solutions and determinants are certified.  Each result is the
@@ -47,10 +50,12 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _echelon(rows, ncols):
-    """Fraction-free (division-exact) echelon form of an integer matrix.
+def _echelon(rows, ncols, size=abs):
+    """Fraction-free (division-exact) echelon form of a matrix of integers
+    or of polynomials (``MultiPoly``, whose ``//`` is exact division).
 
-    Pivots are chosen per column with minimal magnitude to limit entry swell.
+    Each column's pivot is an entry of least ``size``, to limit entry swell:
+    the magnitude for integers, the term count for polynomials.
     Returns (echelon rows, pivot column list, sign of the row permutation).
     """
     m = [list(r) for r in rows]
@@ -64,7 +69,7 @@ def _echelon(rows, ncols):
         for i in range(rank, nrows):
             v = m[i][col]
             if v:
-                a = abs(v)
+                a = size(v)
                 if best is None or a < best:
                     best, piv = a, i
         if piv is None:

@@ -10,7 +10,9 @@ normalization and the leading-term conventions of exact division.
 
 The module also houses the two resultants (Sylvester for binary forms, the
 Macaulay two-determinant quotient in general) and the structural tests on
-polynomials that the rest of the library consumes.  Binary forms are read as
+polynomials that the rest of the library consumes.  A determinant of
+polynomials (``det_poly``) runs on the fraction-free elimination of integer
+matrices, ``linalg._echelon``, through the exact ``//`` of ``MultiPoly``.  Binary forms are read as
 coefficient rows, leading coefficient first (``binary_row``); their gcd is
 read off the fraction-free echelon form of a Sylvester matrix, so it runs on
 the same integer elimination as the rest of the library.
@@ -299,6 +301,14 @@ class MultiPoly:
         except NonDivisibleError:
             return False
 
+    def __floordiv__(self, g):
+        """Exact quotient by a polynomial (``exact_divide``, which raises
+        NonDivisibleError when g does not divide self) or by a nonzero
+        rational: the exact division of ``linalg._echelon`` on polynomials."""
+        if isinstance(g, MultiPoly):
+            return self.exact_divide(g)
+        return self * Fraction(1, g)
+
     # --- calculus / structure -------------------------------------------------
 
     def partial(self, name: str) -> "MultiPoly":
@@ -465,24 +475,13 @@ class MultiPoly:
 # --- ring-changing helpers -----------------------------------------------
 
 
-def embed(f: MultiPoly, names) -> MultiPoly:
-    """Reinterpret f inside a larger ring containing all of f's variables."""
-    names = tuple(names)
-    pos = [names.index(n) for n in f.names]
-    out = {}
-    for e, c in f.terms.items():
-        e2 = [0] * len(names)
-        for p, ei in zip(pos, e):
-            e2[p] = ei
-        out[tuple(e2)] = c
-    return MultiPoly._raw(names, out)
-
-
 def restrict(f: MultiPoly, names) -> MultiPoly:
-    """Move f into the (possibly smaller) ring ``names``; fails if f involves
+    """Move f into the ring ``names``, larger or smaller; fails if f involves
     a variable outside it."""
     names = tuple(names)
-    missing = f.variables_used() - set(names)
+    # only the variables that leave the ring are checked
+    dropped = set(f.names).difference(names)
+    missing = dropped and dropped & f.variables_used()
     if missing:
         raise DomainError(f"cannot restrict: {sorted(missing)} occur in f")
     keep = []
@@ -571,75 +570,16 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
 # --- determinants over a ring ------------------------------------------------
 
 
-def _peel_singleton_rows(m):
-    """Laplace-eliminate rows with a single nonzero entry (cheap and common
-    for Macaulay matrices of near-pure-power systems).  Mutates nothing;
-    returns (sign, factors, reduced matrix) with det = sign * prod(factors)
-    * det(reduced)."""
-    rows = list(range(len(m)))
-    cols = list(range(len(m)))
-    sign = 1
-    factors = []
-    changed = True
-    while changed and rows:
-        changed = False
-        for ri, i in enumerate(rows):
-            nz = [cj for cj, j in enumerate(cols) if not m[i][j].is_zero()]
-            if len(nz) == 0:
-                return sign, factors, None  # zero row: determinant vanishes
-            if len(nz) == 1:
-                cj = nz[0]
-                # sign of the (ri, cj) Laplace position in the current minor
-                sign *= -1 if (ri + cj) % 2 else 1
-                factors.append(m[i][cols[cj]])
-                rows.pop(ri)
-                cols.pop(cj)
-                changed = True
-                break
-    return sign, factors, [[m[i][j] for j in cols] for i in rows]
-
-
 def det_poly(rows, names):
-    """Determinant of a square matrix of MultiPoly entries (Bareiss
-    fraction-free elimination on top of singleton-row peeling; every
-    division is exact)."""
-    n = len(rows)
-    if n == 0:
+    """Determinant of a square matrix of MultiPoly entries over ``names``:
+    the last pivot of its fraction-free echelon form, each pivot one with
+    the fewest terms; every division is exact."""
+    if not rows:
         return MultiPoly.constant(1, names)
-    m = [[e if isinstance(e, MultiPoly) else MultiPoly.constant(e, names) for e in r] for r in rows]
-    sign, factors, m = _peel_singleton_rows(m)
-    lead = MultiPoly.constant(sign, names)
-    for f in factors:
-        lead = lead * f
-    if m is None:
+    ech, pivots, sign = _echelon(rows, len(rows), size=lambda p: len(p.terms))
+    if len(pivots) < len(rows):
         return MultiPoly.zero(names)
-    if not m:
-        return lead
-    n = len(m)
-    sign = 1
-    prev = MultiPoly.constant(1, names)
-    for c in range(n - 1):
-        piv = None
-        best = None
-        for i in range(c, n):
-            if not m[i][c].is_zero():
-                w = len(m[i][c].terms)
-                if best is None or w < best:
-                    best, piv = w, i
-        if piv is None:
-            return MultiPoly.zero(names)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pc = m[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                num = m[i][j] * pc - m[i][c] * m[c][j]
-                m[i][j] = num.exact_divide(prev)
-            m[i][c] = MultiPoly.zero(names)
-        prev = pc
-    out = m[n - 1][n - 1] * lead
-    return out if sign > 0 else -out
+    return ech[-1][-1] * sign
 
 
 # --- resultants ---------------------------------------------------------------
@@ -850,84 +790,49 @@ def macaulay_resultant(forms, ambient_names):
         degrees.append(f.degree_in(ambient_names))
     if any(d < 1 for d in degrees):
         raise DomainError("all degrees must be >= 1")
-    symbol_names = None
-    coeff_tables = []
-    for f in forms:
-        # coefficient data in the complement of the ambient variables
-        extra = tuple(n for n in f.names if n not in ambient_names)
-        table = {}
-        for e, c in f.terms.items():
-            amb = tuple(e[f.names.index(n)] for n in ambient_names)
-            rest = tuple((n, e[f.names.index(n)]) for n in extra if e[f.names.index(n)])
-            table.setdefault(amb, []).append((rest, c))
-        coeff_tables.append(table)
-        if extra:
-            symbol_names = tuple(sorted(set(extra) | set(symbol_names or ())))
-    symbol_names = symbol_names or ()
-
-    def coeff_as_poly(table_entry):
-        out = {}
-        for rest, c in table_entry:
-            e = [0] * len(symbol_names)
-            for n, ei in rest:
-                e[symbol_names.index(n)] = ei
-            key = tuple(e)
-            out[key] = out.get(key, _ZERO) + c
-        return MultiPoly(symbol_names, out)
+    symbols = tuple(sorted({n for f in forms for n in f.names} - set(ambient_names)))
+    ring = ambient_names + symbols
+    # per form: {ambient exponents -> coefficient}, a polynomial in the
+    # symbols or, without symbols, a rational, so det is over the integers
+    tables = [coefficients_in(restrict(f, ring), symbols) if symbols else restrict(f, ring).terms
+              for f in forms]
+    zero = MultiPoly.zero(symbols) if symbols else 0
 
     nu = sum(d - 1 for d in degrees) + 1
     cols = monomials_of_degree(nv, nu)
     col_index = {m: i for i, m in enumerate(cols)}
+    # the denominator minor: the monomials divisible by more than one x_i^d_i
+    sub_idx = [k for k, alpha in enumerate(cols)
+               if sum(a >= d for a, d in zip(alpha, degrees)) > 1]
 
     last_error = None
     for shift in range(nv):
         order = [(i + shift) % nv for i in range(nv)]
-
-        def assign(alpha):
-            for i in order:
-                if alpha[i] >= degrees[i]:
-                    return i
-            raise AssertionError("pigeonhole failure in Macaulay partition")
-
         rows = []
-        reduced_flags = []
         for alpha in cols:
-            i = assign(alpha)
-            hits = sum(1 for j in range(nv) if alpha[j] >= degrees[j])
-            reduced_flags.append(hits == 1)
-            shiftexp = list(alpha)
-            shiftexp[i] -= degrees[i]
-            row = [MultiPoly.zero(symbol_names) for _ in cols]
-            for amb, entry in coeff_tables[i].items():
-                tgt = tuple(a + b for a, b in zip(shiftexp, amb))
-                row[col_index[tgt]] = row[col_index[tgt]] + coeff_as_poly(entry)
+            # some x_i^d_i divides x^alpha, as |alpha| = nu > sum(d_i - 1)
+            i = next((i for i in order if alpha[i] >= degrees[i]), None)
+            if i is None:
+                raise AssertionError("pigeonhole failure in Macaulay partition")
+            shifted = list(alpha)
+            shifted[i] -= degrees[i]
+            row = [zero] * len(cols)
+            for amb, c in tables[i].items():
+                row[col_index[tuple(map(add, shifted, amb))]] = c
             rows.append(row)
-
-        sub_idx = [k for k, fl in enumerate(reduced_flags) if not fl]
-        if not symbol_names:
-            frows = [[e.coefficient(()) for e in r] for r in rows]
-            det_m = det(frows)
-            det_sub = det([[frows[i][j] for j in sub_idx] for i in sub_idx])
-            if det_sub == 0:
-                last_error = MacaulayDegenerateError(
-                    f"denominator minor vanished for variable shift {shift}")
-                continue
-            return det_m / det_sub
-        det_m = det_poly(rows, symbol_names)
         sub = [[rows[i][j] for j in sub_idx] for i in sub_idx]
-        det_sub = det_poly(sub, symbol_names)
-        if det_sub.is_zero():
+        if symbols:
+            det_m, det_sub = det_poly(rows, symbols), det_poly(sub, symbols)
+        else:
+            det_m, det_sub = det(rows), det(sub)
+        if not det_sub:
             last_error = MacaulayDegenerateError(
                 f"denominator minor vanished for variable shift {shift}")
             continue
-        if det_m.is_zero():
-            return MultiPoly.zero(symbol_names)
         try:
-            res = det_m.exact_divide(det_sub)
+            return det_m.exact_divide(det_sub) if symbols else det_m / det_sub
         except NonDivisibleError as exc:
             last_error = MacaulayDegenerateError(f"inexact Macaulay quotient: {exc}")
-            continue
-        return res
     raise last_error
 
 

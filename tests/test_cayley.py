@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from cubiconics.cayley import (PLUCKER, T4, UV, LineP3, PluckerForm,
                                rewrite_biform_to_plucker, top_part_check,
                                transform_FH, transform_Ta)
 from cubiconics.errors import DomainError, NotFrameInvariantError
-from cubiconics.multipoly import MultiPoly, embed, monomials_of_degree, restrict
+from cubiconics.multipoly import MultiPoly, macaulay_resultant, monomials_of_degree, restrict
 
 
 def lin(s):
@@ -71,8 +72,8 @@ def test_grassmann_relation_on_minors():
     G = grassmann_relation()
     minors = minor_biforms()
     big = PLUCKER + UV
-    sub = {n: embed(minors[n], big) for n in PLUCKER}
-    assert restrict(embed(G, big).substitute(sub), UV).is_zero()
+    sub = {n: restrict(minors[n], big) for n in PLUCKER}
+    assert restrict(restrict(G, big).substitute(sub), UV).is_zero()
 
 
 def test_canonical_mod_G():
@@ -104,6 +105,33 @@ def test_cayley_plane_curve_matches_macaulay(case):
             cayley_plane_curve(Q, ell)
         return
     assert cayley_plane_curve(Q, ell).poly == cayley_plane_curve_macaulay(Q, ell).poly
+
+
+# sha256 of the Macaulay oracle's output on six seeded random conics, then of
+# the symbolic resultant Res(q, l, h1, h2) with generic planes h1, h2
+MACAULAY_ORACLE = "c6c626a7a1128b1d3fcb14625b717b1ca5244a28a6bc8fe89d6eb0993a6a3405"
+
+
+def test_macaulay_oracle_output_is_pinned():
+    rng = random.Random(27)
+    monos = monomials_of_degree(4, 2)
+    h = hashlib.sha256()
+    done = 0
+    while done < 6:
+        ell = MultiPoly(T4, {tuple(int(i == k) for i in range(4)): rng.randint(-2, 2)
+                             for k in range(4)})
+        Q = MultiPoly(T4, {monos[rng.randrange(len(monos))]: rng.choice((1, -1, 2, -2, 3))
+                           for _ in range(4)})
+        if ell.is_zero() or ell.divides(Q):
+            continue
+        h.update(str(cayley_plane_curve_macaulay(Q, ell)).encode())
+        done += 1
+    names = T4 + UV
+    planes = [sum((MultiPoly.variable(f"{a}{i}", names) * MultiPoly.variable(f"T{i}", names)
+                   for i in range(4)), MultiPoly.zero(names)) for a in "uv"]
+    forms = [restrict(MultiPoly.parse(s, T4), names) for s in ("T2^2 - T2*T3 + T3^2", "T0 + T1")]
+    h.update(str(macaulay_resultant(forms + planes, T4)).encode())
+    assert h.hexdigest() == MACAULAY_ORACLE
 
 
 def test_cayley_hypersurface():

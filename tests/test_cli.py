@@ -126,7 +126,8 @@ def test_exit_code_property_violation(capsys, tmp_path):
     assert main(["verify", "--surface", str(ruled), "--B", "4"]) == 1
 
 
-@pytest.mark.parametrize("error", [AssertionError, NonDivisibleError, MacaulayDegenerateError])
+@pytest.mark.parametrize("error", [AssertionError, NonDivisibleError, MacaulayDegenerateError,
+                                   KeyError])
 def test_exit_code_internal_check_failed(capsys, data_dir, monkeypatch, error):
     # a failed internal check is not a falsified property: exit code 4, not 1
     def failing_cutoff(rows, d):
@@ -139,6 +140,16 @@ def test_exit_code_internal_check_failed(capsys, data_dir, monkeypatch, error):
     assert captured.out == ""
     assert captured.err == (f"internal check failed: {error.__name__}: "
                             "Bezout identities fail for the cutoff pair\n")
+
+
+@pytest.mark.parametrize("command", ["count", "census", "aux", "verify"])
+def test_empty_B_list_is_a_configuration_error(capsys, data_dir, command):
+    source = (["--curve", str(data_dir / "conic.txt")] if command in ("count", "aux")
+              else ["--surface", str(data_dir / "fermat.cubic")])
+    assert main([command, *source, "--B", ","]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: empty B list\n"
 
 
 def test_report_files_and_csv(capsys, data_dir, tmp_path):

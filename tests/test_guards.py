@@ -3,8 +3,9 @@
 Every command-line option must be read by its command's handler, every span
 target of ``bench/tracing.py`` must resolve, every module constant must be
 read, every internal check must raise AssertionError explicitly rather than
-by an ``assert`` statement, and only ``MultiPoly._raw`` may build a
-polynomial without ``MultiPoly.__init__``.
+by an ``assert`` statement, only ``MultiPoly._raw`` may build a
+polynomial without ``MultiPoly.__init__``, and every function, class and
+method must be used somewhere.
 """
 
 import argparse
@@ -102,6 +103,31 @@ def test_every_module_constant_is_read_in_src():
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
     assert constants
     assert sorted(constants - read) == []
+
+
+def test_every_function_class_and_method_is_used():
+    # a definition that nothing loads is dead code: every module-level
+    # function and class, and every method that is not a dunder, must be
+    # loaded by name somewhere in src/, tests/, demos/ or bench/; a span
+    # target of bench/tracing.py loads its path by string
+    defined = set()
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                            and not (f.name.startswith("__") and f.name.endswith("__"))}
+    loaded = set()
+    for d in ("src", "tests", "demos", "bench"):
+        for p in sorted((ROOT / d).rglob("*.py")):
+            loaded |= {n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(ast.parse(p.read_text()))
+                       if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    targets = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["TARGETS"]
+    loaded |= {part for _, path in targets.values() for part in path.split(".")}
+    assert defined
+    assert sorted(defined - loaded) == []
 
 
 # Each check breaks one certified identity from outside and must still raise

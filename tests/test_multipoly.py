@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cubiconics import multipoly
 from cubiconics.errors import DomainError, NonDivisibleError
 from cubiconics.linalg import det, exact_kernel, rank
-from cubiconics.multipoly import (MultiPoly, bezout_cutoff, embed, int_dtype, int_eval,
+from cubiconics.multipoly import (MultiPoly, bezout_cutoff, det_poly, int_dtype, int_eval,
                                   iroot, essential_variable_count, gcd_binary_forms,
                                   macaulay_resultant, pivot_substitution, restrict,
                                   sylvester_resultant, sylvester_rows)
@@ -312,11 +312,33 @@ def test_linalg_det_matches_leibniz():
             assert det(rows) == leibniz_det(rows)
 
 
+def test_det_poly_matches_leibniz():
+    xy = ("x", "y")
+    rng = random.Random(27)
+
+    def entry():
+        f = rand_poly(rng, xy, rng.randint(0, 2), rng.randint(0, 3))
+        return f * Fraction(1, rng.randint(1, 3))
+
+    assert det_poly([], xy) == 1
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            assert det_poly(rows, xy) == leibniz_det(rows)
+        if n > 1:
+            zero_row = [[entry() for _ in range(n)] for _ in range(n - 1)]
+            zero_row.insert(rng.randrange(n), [MultiPoly.zero(xy)] * n)
+            equal_rows = [[entry() for _ in range(n)] for _ in range(n - 1)]
+            equal_rows.append(list(equal_rows[0]))
+            for rows in (zero_row, equal_rows):
+                assert det_poly(rows, xy).is_zero() and leibniz_det(rows) == 0
+
+
 def test_macaulay_symbolic_degree_homogeneity():
     # Res(q, l, h1, h2) has degree prod(deltas)/delta_i in slot i's coefficients
     names = T + ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
-    q = embed(MultiPoly.parse("T2^2 - T2*T3 + T3^2", T), names)
-    ell = embed(MultiPoly.parse("T0 + T1", T), names)
+    q = restrict(MultiPoly.parse("T2^2 - T2*T3 + T3^2", T), names)
+    ell = restrict(MultiPoly.parse("T0 + T1", T), names)
     h1 = sum((MultiPoly.variable(f"u{i}", names) * MultiPoly.variable(f"T{i}", names)
               for i in range(4)), MultiPoly.zero(names))
     h2 = sum((MultiPoly.variable(f"v{i}", names) * MultiPoly.variable(f"T{i}", names)
@@ -406,7 +428,7 @@ def test_gcd_binary_forms_matches_euclid():
         assert gcd_binary_forms(forms, tn) == _euclid_gcd(forms, tn), [str(f) for f in forms]
     # the forms may live in a larger ring with the pair in either order
     ring = ("y", "z", "x")
-    f, g = embed(x * x * y, ring), embed(x * y * (x + y), ring)
+    f, g = restrict(x * x * y, ring), restrict(x * y * (x + y), ring)
     assert gcd_binary_forms([f, g], tn) == x * y
     with pytest.raises(DomainError):
         gcd_binary_forms([MultiPoly.zero(tn)], tn)
@@ -551,8 +573,8 @@ OPERATIONS = {
     "exact_divide": lambda f, g, h, c, v, l: divide(h, g) if g else h,
     "partial": lambda f, g, h, c, v, l: f.partial(v),
     "substitute": lambda f, g, h, c, v, l: (f.substitute({v: g}), f.substitute({v: c})),
-    "restrict/embed": lambda f, g, h, c, v, l: (
-        embed(f, f.names + ("U",)), restrict(embed(f, f.names + ("U",)), f.names)),
+    "restrict": lambda f, g, h, c, v, l: (
+        restrict(f, f.names + ("U",)), restrict(restrict(f, f.names + ("U",)), f.names)),
     "rational_content": lambda f, g, h, c, v, l: f.rational_content() if f else f,
     "pivot_substitution": lambda f, g, h, c, v, l: pivot_substitution(l),
 }
