@@ -19,7 +19,7 @@ from .detmethod import (AuxiliaryForm, EvaluationMatrix, auxiliary_form,
 from .errors import (BudgetError, ConfigError, DegenerateReductionError,
                      DomainError, MacaulayDegenerateError, NonDivisibleError,
                      NotFrameInvariantError, PropertyViolationError)
-from .exactarith import (GFContext, PrimeTable, bertrand_prime, factorize,
+from .exactarith import (GFContext, bertrand_prime, factorize,
                          ff_factor_linear, mertens_check,
                          prime_sum_over_divisors, primes_up_to, theta_psi_phi)
 from .heights import (HeightValue, affine_height, height_comparison_audit,

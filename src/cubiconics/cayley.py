@@ -16,7 +16,7 @@ Two computation routes are kept:
   chart, and ell may be a family whose coefficients are forms in the pencil
   parameters;
 * the full Macaulay resultant in a symbolic hyperplane pair, descended to
-  line coordinates by a linear solve, as an independent oracle.
+  line coordinates by an exact kernel, as an independent oracle.
 
 All outputs are put in a canonical normal form: reduced modulo G so that no
 monomial is divisible by p01*p23, integer primitive, sign-normalized.  Raw
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotFrameInvariantError
-from .heights import normalize_primitive_vector
-from .linalg import solve
+from .linalg import exact_kernel, normalize_primitive_vector
 from .multipoly import (MultiPoly, coefficients_in, macaulay_resultant,
                         monomials_of_degree, restrict)
 
@@ -209,9 +208,10 @@ def rewrite_biform_to_plucker(b: MultiPoly) -> PluckerForm:
     canonical degree-k form in line coordinates: P with P(p(u,v)) == b(u,v)
     identically.  Only the Macaulay oracle takes this route.
 
-    The candidate monomials exclude multiples of p01*p23, which makes the
-    solution unique; an inconsistent system means b was not in the image,
-    i.e. not frame-invariant.
+    The candidate monomials exclude multiples of p01*p23, so their
+    expansions are a basis of the image and the solution is unique; an
+    inconsistent system means b was not in the image, i.e. not
+    frame-invariant.
     """
     b = restrict(b, UV)
     uvars, vvars = UV[:4], UV[4:]
@@ -229,12 +229,13 @@ def rewrite_biform_to_plucker(b: MultiPoly) -> PluckerForm:
     uv_monos = sorted({m for c in cols for m in c.terms})
     if set(b.terms) - set(uv_monos):
         raise NotFrameInvariantError("biform involves a monomial outside the image")
-    rows = [[c.coefficient(m) for c in cols] for m in uv_monos]
-    try:
-        (sol,) = solve(rows, [[b.coefficient(m) for m in uv_monos]], len(monos))
-    except DomainError as exc:
-        raise NotFrameInvariantError(f"descent system inconsistent: {exc}") from exc
-    return PluckerForm.make(MultiPoly(PLUCKER, dict(zip(monos, sol))))
+    # the columns are independent, so b is in their span exactly when the
+    # kernel of [cols | -b] is one vector ending in 1, the solution
+    rows = [[c.coefficient(m) for c in cols] + [-b.coefficient(m)] for m in uv_monos]
+    kernel = exact_kernel(rows, len(monos) + 1)
+    if len(kernel) != 1 or kernel[0][-1] != 1:
+        raise NotFrameInvariantError("descent system inconsistent")
+    return PluckerForm.make(MultiPoly(PLUCKER, dict(zip(monos, kernel[0]))))
 
 
 # --- plane curves in P^3 -------------------------------------------------------------

@@ -356,7 +356,9 @@ class ConicPencil:
     def int_rows(self):
         """(rows, d): the integer coefficient rows, of length d + 1 with d
         the family degree, of all 21 family coefficients, jointly
-        denominator-cleared; built once per pencil."""
+        denominator-cleared; built once per pencil.  One joint scale and no
+        gcd, unlike ``normalize_primitive_vector``: the census cutoff
+        constant in the report depends on it."""
         d = self.family_degree
         rows = [binary_row(self.b_ij[e], d) for e in monomials_of_degree(6, 2)]
         den = lcm(*(c.denominator for row in rows for c in row))

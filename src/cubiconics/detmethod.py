@@ -71,13 +71,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from math import comb, gcd, prod
+from math import comb, prod
 
 import numpy as np
 
 from .cayley import cayley_degree_parts, cayley_hypersurface, transform_Ta
 from .errors import BudgetError, DomainError, PropertyViolationError
-from .hilbert_samuel import ExternalConstants, bound_evaluator
+from .hilbert_samuel import ExternalConstants, bound_evaluator, geometric_hs
 from .linalg import _ROW_PRIME, exact_kernel, rank_mod_p
 from .multipoly import (MultiPoly, gcd_binary_forms, monomials_of_degree,
                         pivot_substitution, restrict)
@@ -198,15 +198,13 @@ def _standard(exps, pivots, f):
 
 
 def _hilbert(D, nvars, pivots, f):
-    """Number of standard monomials of degree D >= 1, in closed form: the
-    monomials in the variables other than the pivots, less the multiples
-    of the leading monomial of f."""
+    """Number of standard monomials of degree D >= 1: the Hilbert function
+    of the hypersurface f = 0 in the space the pivots leave free, or of that
+    whole space when there is no f."""
     free = nvars - len(pivots)
-
-    def monomials(e):
-        return comb(e + free - 1, free - 1) if e >= 0 and free else 0
-
-    return monomials(D) - (monomials(D - f.total_degree()) if f is not None else 0)
+    if f is None:
+        return geometric_hs(free - 1, 1, D)
+    return geometric_hs(free - 2, f.total_degree(), D)
 
 
 @dataclass
@@ -373,17 +371,13 @@ def _product_of_lines_witness(f, names, points, D):
     C = _expand_product(factors + [(1, 1, 1)] * (D - len(factors)))
     e0, e1 = np.nonzero(C)
     coeffs = C[e0, e1]
-    content = gcd(*coeffs)
-    if coeffs[-1] < 0:  # the graded-lex leading term comes last
-        content = -content
-    coeffs //= content
     # exact certificates: the expanded form vanishes at every point
     for p in pts:
         x, y, z = (np.array([v ** e for e in range(D + 1)], dtype=object) for v in p)
         if (x[e0] * y[e1] * z[D - e0 - e1]).dot(coeffs):
             return None
-    poly = MultiPoly(names, {(a, b, D - a - b): c
-                             for a, b, c in zip(e0.tolist(), e1.tolist(), coeffs)})
+    poly = MultiPoly._raw(names, {(a, b, D - a - b): c for a, b, c in zip(
+        e0.tolist(), e1.tolist(), coeffs.tolist())}).rational_content()[1]
     if f is not None and f.divides(poly):
         return None
     return AuxiliaryForm(D, poly, {

@@ -24,28 +24,19 @@ from .multipoly import MultiPoly, coefficients_in, restrict
 DEFAULT_FF_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    bound: int
-    primes: tuple
-
-    def __len__(self):
-        return len(self.primes)
-
-
-def primes_up_to(x: int) -> PrimeTable:
-    """All primes <= x by sieve; empty table for x < 2."""
+def primes_up_to(x: int) -> tuple:
+    """All primes <= x by sieve, as a tuple; empty for x < 2."""
     x = int(x)
     if x < 0:
         raise DomainError("negative bound")
     if x < 2:
-        return PrimeTable(x, ())
+        return ()
     sieve = np.ones(x + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(x ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return PrimeTable(x, tuple(int(p) for p in np.nonzero(sieve)[0]))
+    return tuple(int(p) for p in np.nonzero(sieve)[0])
 
 
 def theta_psi_phi(x: float):
@@ -55,7 +46,7 @@ def theta_psi_phi(x: float):
         raise DomainError("x must be >= 0")
     if x < 2:
         return (0.0, 0.0, 0.0)
-    ps = np.array(primes_up_to(int(math.floor(x))).primes, dtype=np.float64)
+    ps = np.array(primes_up_to(int(math.floor(x))), dtype=np.float64)
     logs = np.log(ps)
     return (float(logs.sum()), float((logs / ps).sum()), float((logs / ps ** 1.5).sum()))
 
@@ -70,7 +61,7 @@ def mertens_check(x_max: float, step: float = 1.0) -> dict:
         raise DomainError("x_max must be >= 2")
     if step <= 0:
         raise DomainError("step must be positive")
-    ps = np.array(primes_up_to(int(math.floor(x_max))).primes, dtype=np.float64)
+    ps = np.array(primes_up_to(int(math.floor(x_max))), dtype=np.float64)
     cum = np.cumsum(np.log(ps) / ps)
     xs = np.arange(2.0, x_max + step / 2, step)
     if xs[-1] < x_max:
@@ -133,7 +124,7 @@ def bertrand_prime(R: int) -> int:
     R = int(R)
     if R < 2:
         raise DomainError("R must be >= 2")
-    ps = primes_up_to(R).primes
+    ps = primes_up_to(R)
     for p in reversed(ps):
         if 2 * p > R:
             return p

@@ -1,9 +1,10 @@
 """Naive and affine height functions over Q.
 
 Heights are computed exactly as rationals; logs appear only in report-facing
-values (double precision).  For primitive integer data the naive height is
-the max coordinate/coefficient magnitude; the place-by-place product is kept
-as an independent route for cross-checks.
+values (double precision).  The naive height of a point or a form is read off
+its primitive integer representative (``linalg.normalize_primitive_vector``),
+where it is the max coordinate/coefficient magnitude; the place-by-place
+product is kept as an independent route for cross-checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import gcd
 
 from .errors import DomainError
 from .exactarith import factorize
+from .linalg import normalize_primitive_vector
 from .multipoly import MultiPoly
 
 
@@ -27,27 +29,6 @@ class HeightValue:
     def from_H(cls, H):
         H = Fraction(H)
         return cls(H, math.log(H))
-
-
-def normalize_primitive_vector(coords):
-    """Primitive integer representative of a rational vector plus the scalar
-    extracted, so coords == scalar * representative."""
-    vec = [Fraction(c) for c in coords]
-    if all(c == 0 for c in vec):
-        raise DomainError("zero vector has no primitive representative")
-    den = 1
-    for c in vec:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    sign = 1 if first > 0 else -1
-    ints = [sign * v for v in ints]
-    scalar = Fraction(sign * g, den)
-    return tuple(ints), scalar
 
 
 def point_height(xi) -> HeightValue:

@@ -1,27 +1,24 @@
-"""Exact linear algebra over Z and Q, and ranks modulo a prime.
+"""Exact linear algebra over Z and Q, ranks modulo a prime, and the
+primitive normal form of a rational vector.
 
 Every exact routine reads one fraction-free echelon form of an integer
 matrix (Bareiss, Math. Comp. 22 (1968)).  The same elimination runs on
 polynomial entries, where it gives ``multipoly.det_poly``: Bareiss's update
 is the same over Z and over Q[x], only the exact division and the measure
-of a pivot's size differ.  Rational rows are first scaled to
-integers, which changes neither the row space nor the pivot columns, and
-every division in the elimination is exact, so ranks, pivot columns,
-kernels, solutions and determinants are certified.  Each result is the
-unique one of its kind: a kernel basis vector has a 1 in one free column and
-0 in the others, and a solution sets the free variables to 0.
-
-Kernels and solutions come from one back substitution in integers
-(``cramer_vectors``): with Delta the last pivot of the echelon form, a
-minor of full rank, it solves for y = Delta * x, which is integral by
-Cramer's rule, so every division is exact.  Fractions appear only in the
-returned vectors.  ``int_dtype`` is the one int64 rule of the array kernels.
+of a pivot's size differ.  Rational rows are first scaled to integers,
+which changes neither the row space nor the pivot columns, and every
+division in the elimination is exact, so ranks, pivot columns, kernels and
+determinants are certified.  A kernel basis vector is the unique one with a
+1 in one free column and 0 in the others; A x = b is solved by the kernel
+of [A | -b].  ``normalize_primitive_vector`` is the one rule for primitive
+integer representatives, ``int_dtype`` the one int64 rule of the array
+kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -40,7 +37,10 @@ def int_dtype(terms, X):
 def _integer_rows(rows):
     """The rows scaled to integers by the lcm of each row's denominators,
     and the product of those multipliers.  Entries are Fractions or
-    integers (Python or numpy); the scaling stays in Python integers."""
+    integers (Python or numpy); the scaling stays in Python integers.
+
+    No gcd is divided out, unlike ``normalize_primitive_vector``: ``det``
+    needs the exact scale of each row."""
     out, scale = [], 1
     for r in rows:
         den = lcm(*(x.denominator for x in r if type(x) is Fraction))
@@ -48,6 +48,21 @@ def _integer_rows(rows):
                     else int(x) * den for x in r])
         scale *= den
     return out, scale
+
+
+def normalize_primitive_vector(coords):
+    """(ints, scalar) with coords == scalar * ints, for a nonzero vector of
+    ints, Fractions or numpy integers: ints is a tuple of coprime Python
+    integers whose first nonzero entry is positive.  A zero vector raises
+    DomainError."""
+    den = lcm(*(c.denominator for c in coords))
+    ints = [int(c.numerator) * (den // c.denominator) for c in coords]
+    g = gcd(*ints)
+    if not g:
+        raise DomainError("zero vector has no primitive representative")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints), Fraction(g, den)
 
 
 def _echelon(rows, ncols, size=abs):
@@ -93,28 +108,6 @@ def _echelon(rows, ncols, size=abs):
     return m[:rank], pivots, sign
 
 
-def cramer_vectors(ech, pivots, cols, ncols):
-    """(Delta, [y for c in cols]): Delta the last pivot of the echelon form
-    (1 without pivots), and y the integer vector annihilated by every
-    echelon row with y[c] = Delta and 0 at the other non-pivot columns.
-
-    y is Delta times the kernel vector with a 1 at c, and Delta is the
-    minor of full rank on the pivot columns, so by Cramer's rule y is
-    integral and each division below is exact.
-    """
-    delta = ech[-1][pivots[-1]] if pivots else 1
-    out = []
-    for c in cols:
-        y = [0] * ncols
-        y[c] = delta
-        for r in range(len(ech) - 1, -1, -1):
-            row, pc = ech[r], pivots[r]
-            s = sum(row[j] * y[j] for j in range(pc + 1, ncols) if row[j] and y[j])
-            y[pc] = -s // row[pc]
-        out.append(y)
-    return delta, out
-
-
 def rank(rows, ncols: int) -> int:
     """Rank over Q of a matrix of integers or Fractions."""
     return len(_echelon(_integer_rows(rows)[0], ncols)[1])
@@ -150,40 +143,33 @@ def exact_kernel(rows, ncols=None):
 
 def _kernel_basis(int_rows, ncols):
     """The kernel basis read from the echelon form of the integer rows: a 1
-    in one free column and 0 in the others."""
+    in one free column and 0 in the others.
+
+    With Delta the last pivot, the minor of full rank on the pivot columns,
+    the back substitution solves for y = Delta * v, which is integral by
+    Cramer's rule, so every division is exact; Fractions appear only in the
+    returned vectors."""
     ech, pivots, _ = _echelon(int_rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    delta, ys = cramer_vectors(ech, pivots, free, ncols)
-    return [[Fraction(x, delta) for x in y] for y in ys]
+    delta = ech[-1][pivots[-1]] if pivots else 1
+    basis = []
+    for c in sorted(set(range(ncols)) - set(pivots)):
+        y = [0] * ncols
+        y[c] = delta
+        for row, pc in zip(reversed(ech), reversed(pivots)):
+            s = sum(row[j] * y[j] for j in range(pc + 1, ncols) if row[j] and y[j])
+            y[pc] = -s // row[pc]
+        basis.append([Fraction(x, delta) for x in y])
+    return basis
 
 
 def annihilates(rows, v) -> bool:
     """Whether every row has zero dot product with the rational vector v.
 
-    The check runs on an integer multiple of v, over its nonzero entries
-    only, so integer rows stay in integer arithmetic.
+    The check runs on the primitive integer multiple of v, over its nonzero
+    entries only, so integer rows stay in integer arithmetic.
     """
-    den = lcm(*(x.denominator for x in v))
-    w = [(j, int(x * den)) for j, x in enumerate(v) if x]
+    w = [(j, x) for j, x in enumerate(normalize_primitive_vector(v)[0]) if x]
     return all(sum(r[j] * x for j, x in w) == 0 for r in rows)
-
-
-def solve(rows, rhs_cols, ncols: int):
-    """Solve A x = b for each right-hand side column b, free variables set
-    to 0; raises DomainError when some system is inconsistent.
-
-    A is rows x ncols; rhs_cols is a list of right-hand-side vectors.
-    """
-    width = ncols + len(rhs_cols)
-    aug = [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(rows)]
-    ech, pivots, _ = _echelon(_integer_rows(aug)[0], width)
-    if pivots and pivots[-1] >= ncols:
-        raise DomainError("inconsistent linear system")
-    # A x - b = 0: x is minus the first ncols entries of the kernel vector
-    # of the augmented matrix with a 1 at the column of b
-    delta, ys = cramer_vectors(ech, pivots, range(ncols, width), width)
-    return [[Fraction(-x, delta) for x in y[:ncols]] for y in ys]
 
 
 def det(rows) -> Fraction:

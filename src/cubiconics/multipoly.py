@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import (DomainError, MacaulayDegenerateError, NonDivisibleError,
                      PropertyViolationError)
-from .linalg import _echelon, _integer_rows, det, exact_kernel, int_dtype
+from .linalg import (_echelon, det, exact_kernel, int_dtype,
+                     normalize_primitive_vector)
 
 _ZERO = 0
 _ONE = 1
@@ -201,6 +202,9 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other, self.names)
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -394,20 +398,13 @@ class MultiPoly:
     def rational_content(self):
         """Signed rational content: self == content * primitive, where the
         primitive part has coprime integer coefficients and positive
-        graded-lex leading coefficient."""
+        graded-lex leading coefficient (``normalize_primitive_vector`` on
+        the coefficients, the leading one put first to decide the sign)."""
         if self.is_zero():
             raise DomainError("content of zero polynomial")
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
         _, lc = self.leading_term()
-        if lc < 0:
-            content = -content
-        prim = self * (1 / content)
-        return content, prim
+        ints, content = normalize_primitive_vector([lc, *self.terms.values()])
+        return content, MultiPoly._raw(self.names, dict(zip(self.terms, ints[1:])))
 
     # --- serialization -----------------------------------------------------
 
@@ -538,7 +535,8 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
     the forms of degree m + n - 1 divisible by gcd(g, h), so the last row of
     its fraction-free echelon form is c * gcd * y^(rank - 1) and the gcd is
     that row from index rank - 1 on (Laidacker, Math. Mag. 42 (1969)).  The
-    forms are folded in one at a time, until the gcd is constant.
+    forms are folded in one at a time, until the gcd is constant, each row
+    kept primitive with its first nonzero entry (the leading one) positive.
     """
     names = tuple(names)
     x, y = names
@@ -554,17 +552,15 @@ def gcd_binary_forms(forms, names) -> MultiPoly:
     for f in live:
         if f.names != names:
             f = restrict(f, names)
-        row = _integer_rows([binary_row(f, f.total_degree())])[0][0]
+        row = normalize_primitive_vector(binary_row(f, f.total_degree()))[0]
         if g is not None:
             ech, pivots, _ = _echelon(sylvester_rows(g, row), len(g) + len(row) - 2)
-            row = ech[-1][len(pivots) - 1:]
-            content = gcd(*row)
-            row = [c // content for c in row]
+            row = normalize_primitive_vector(ech[-1][len(pivots) - 1:])[0]
         g = row
         if len(g) == 1:
             break
     d = len(g) - 1
-    return MultiPoly(names, {(d - k, k): c for k, c in enumerate(g)}).rational_content()[1]
+    return MultiPoly(names, {(d - k, k): c for k, c in enumerate(g)})
 
 
 # --- determinants over a ring ------------------------------------------------

@@ -43,12 +43,12 @@ import numpy as np
 
 from .cayley import T4
 from .errors import BudgetError, DomainError
-from .heights import normalize_primitive_vector
 from .hilbert_samuel import (ExternalConstants, bound_evaluator, bound_exponent,
                              gram_matrix_doubled)
-from .linalg import det
+from .linalg import det, normalize_primitive_vector
 from .multipoly import (CHUNK_FIBERS, MultiPoly, absmax, bezout_cutoff,
-                        bounded_height_pairs, int_dtype, int_eval, restrict)
+                        bounded_height_pairs, coefficients_in, int_dtype, int_eval,
+                        restrict)
 
 SURFACE_B_BUDGET = 512
 CURVE_B_BUDGET = 10_000
@@ -76,27 +76,21 @@ def _check_budget(nvars: int, B: float, budget: float | None):
         raise BudgetError(f"B={B} exceeds enumeration budget {cap}")
 
 
-def _coeff_polys(form: MultiPoly, var: str):
-    """Coefficients of the form as a polynomial in ``var`` (list by power)."""
-    i = form.names.index(var)
-    d = max((e[i] for e in form.terms), default=0)
-    terms = [{} for _ in range(d + 1)]
-    for e, c in form.terms.items():
-        terms[e[i]][e[:i] + (0,) + e[i + 1:]] = c
-    return [MultiPoly(form.names, t) for t in terms]
-
-
 def _solve_form_coeffs(forms, var):
     """The equation each fiber solves, the form of least degree in ``var``:
-    its coefficients in ``var``, and the other forms, which each solution
+    its coefficients in ``var``, polynomials in the other variables of its
+    ring (``coefficients_in``), and the other forms, which each solution
     must also satisfy.  (None, []) for the empty system; DomainError when
     that degree exceeds 3, which the fiber solver does not handle."""
     if not forms:
         return None, []
     i = min(range(len(forms)), key=lambda i: forms[i].degree_in([var]))
-    if forms[i].degree_in([var]) > 3:
+    f, d = forms[i], forms[i].degree_in([var])
+    if d > 3:
         raise DomainError(f"every form has degree > 3 in the solved variable {var}")
-    return _coeff_polys(forms[i], var), forms[:i] + forms[i + 1:]
+    others = tuple(n for n in f.names if n != var)
+    cs = coefficients_in(f, others)
+    return [cs.get((k,), MultiPoly.zero(others)) for k in range(d + 1)], forms[:i] + forms[i + 1:]
 
 
 def _vanish(forms, arrays):
@@ -247,7 +241,7 @@ def _fiber_points(rest, coeffs, names, var, prefix, xcap):
 
 def _lead_sign(rows):
     """Sign of the first nonzero entry of each row of a 2-d array (0 for a
-    zero row)."""
+    zero row): ``normalize_primitive_vector``'s sign rule on whole arrays."""
     first = np.argmax(rows != 0, axis=1)
     return np.sign(rows[np.arange(len(rows)), first])
 

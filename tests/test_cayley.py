@@ -171,6 +171,22 @@ def test_rewrite_biform_examples():
     assert P3.poly == MultiPoly.parse("p13", PLUCKER)
 
 
+def test_rewrite_round_trips_random_reduced_forms():
+    # a G-reduced form P, expanded through the minors, descends back to P
+    rng = random.Random(29)
+    minors = minor_biforms()
+    big = PLUCKER + UV
+    sub = {n: restrict(minors[n], big) for n in PLUCKER}
+    for k in (1, 1, 2, 2, 3, 3):
+        monos = [e for e in monomials_of_degree(6, k) if not (e[0] and e[5])]
+        P = MultiPoly(PLUCKER, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                for e in rng.sample(monos, rng.randint(1, 6))})
+        if P.is_zero():
+            continue
+        b = restrict(restrict(P, big).substitute(sub), UV)
+        assert rewrite_biform_to_plucker(b).poly == PluckerForm.make(P).poly
+
+
 def test_rewrite_rejects_non_invariant():
     u0 = MultiPoly.variable("u0", UV)
     v1 = MultiPoly.variable("v1", UV)

@@ -24,12 +24,12 @@ def naive_primes(n):
 
 
 def test_primes_up_to_against_naive_sieve():
-    assert primes_up_to(1).primes == ()
-    assert primes_up_to(10).primes == (2, 3, 5, 7)
+    assert primes_up_to(1) == ()
+    assert primes_up_to(10) == (2, 3, 5, 7)
     t30 = primes_up_to(30)
-    assert len(t30) == 10 and t30.primes[-1] == 29
+    assert len(t30) == 10 and t30[-1] == 29
     for bound in (0, 2, 97, 541):
-        assert list(primes_up_to(bound).primes) == naive_primes(bound)
+        assert list(primes_up_to(bound)) == naive_primes(bound)
 
 
 def test_theta_psi_phi_small_values():

@@ -4,8 +4,9 @@ Every command-line option must be read by its command's handler, every span
 target of ``bench/tracing.py`` must resolve, every module constant must be
 read, every internal check must raise AssertionError explicitly rather than
 by an ``assert`` statement, only ``MultiPoly._raw`` may build a
-polynomial without ``MultiPoly.__init__``, and every function, class and
-method must be used somewhere.
+polynomial without ``MultiPoly.__init__``, every function, class and
+method must be used somewhere, and every name a module imports must be
+loaded there.
 """
 
 import argparse
@@ -128,6 +129,23 @@ def test_every_function_class_and_method_is_used():
     loaded |= {part for _, path in targets.values() for part in path.split(".")}
     assert defined
     assert sorted(defined - loaded) == []
+
+
+def test_every_import_in_src_is_loaded():
+    # a name that a module imports and never loads is left behind when code
+    # moves between modules; __init__.py imports only to re-export
+    unused = []
+    for p in sorted(SRC.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text())
+        imported = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    and getattr(n, "module", None) != "__future__" for a in n.names}
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{p.name}:{name}" for name in sorted(imported - loaded)]
+    assert unused == []
 
 
 # Each check breaks one certified identity from outside and must still raise

@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubiconics.errors import DomainError
 from cubiconics.heights import (affine_height, comparison_window,
-                                height_comparison_audit,
-                                normalize_primitive_vector, point_height,
+                                height_comparison_audit, point_height,
                                 poly_height, product_formula_check)
+from cubiconics.linalg import normalize_primitive_vector
 from cubiconics.multipoly import MultiPoly
 
 T = ("T0", "T1", "T2", "T3")
@@ -21,6 +22,18 @@ def test_normalize_primitive_vectors():
     assert v2 == (1, 0) and s2 == -1
     with pytest.raises(DomainError):
         normalize_primitive_vector([0, 0])
+    # ints, numpy int64 and Fractions of mixed denominators in one vector
+    rng = random.Random(7)
+    kinds = (int, np.int64, lambda x: Fraction(x, rng.choice((2, 6, 35, 2 ** 70))))
+    for _ in range(300):
+        coords = [rng.choice(kinds)(rng.randint(-10 ** 12, 10 ** 12) * rng.randint(0, 1))
+                  for _ in range(rng.randint(1, 6))]
+        if not any(coords):
+            continue
+        v, s = normalize_primitive_vector(coords)
+        assert all(type(x) is int for x in v) and type(s) is Fraction
+        assert [s * x for x in v] == [Fraction(c) for c in coords]
+        assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
 
 
 def test_point_height():

@@ -568,7 +568,7 @@ OPERATIONS = {
     "add": lambda f, g, h, c, v, l: f + g,
     "sub": lambda f, g, h, c, v, l: f - g,
     "mul": lambda f, g, h, c, v, l: f * g,
-    "scalar": lambda f, g, h, c, v, l: (c * f, f * c, f + c, f - c),
+    "scalar": lambda f, g, h, c, v, l: (c * f, f * c, f + c, f - c, c - f),
     "pow": lambda f, g, h, c, v, l: f ** 3,
     "exact_divide": lambda f, g, h, c, v, l: divide(h, g) if g else h,
     "partial": lambda f, g, h, c, v, l: f.partial(v),
